@@ -53,8 +53,9 @@ class CadDetector(Detector):
             :mod:`repro.linalg.factorcache`).
         cache_budget_mb: factor-cache byte budget.
         delta_budget: maximum edge-delta absorbed by rank-one factor
-            updates before a fresh factorization (0 = identity reuse
-            only, bit-for-bit).
+            updates before a fresh factorization (default 64 with a
+            factor cache, 0 without; 0 = identity reuse only,
+            bit-for-bit).
     """
 
     name = "CAD"

@@ -91,9 +91,11 @@ class CommuteTimeCalculator:
             of refactorized (matching cold solves to ~1e-10).
         cache_budget_mb: byte budget for the factor cache (resizes
             the shared cache when that is selected).
-        delta_budget: maximum edge-delta absorbed by rank-one factor
-            updates; ``0`` disables the delta tier, leaving only
-            bit-for-bit identity reuse.
+        delta_budget: maximum edge-delta absorbed by rank-one updates
+            of the last exact ``L^+``, with or without a factor cache.
+            Defaults to ``DEFAULT_DELTA_BUDGET`` when a factor cache is
+            in use and to ``0`` otherwise; ``0`` disables the delta
+            tier, leaving only bit-for-bit identity reuse.
     """
 
     def __init__(self, method: str = "auto",
@@ -105,7 +107,7 @@ class CommuteTimeCalculator:
                  seed_mode: str = "stream",
                  factor_cache=None,
                  cache_budget_mb: float | None = None,
-                 delta_budget: int = DEFAULT_DELTA_BUDGET):
+                 delta_budget: int | None = None):
         if method not in ("exact", "approx", "auto"):
             raise DetectionError(
                 f"method must be 'exact', 'approx' or 'auto', got {method!r}"
@@ -114,7 +116,7 @@ class CommuteTimeCalculator:
             raise DetectionError(
                 f"seed_mode must be one of {SEED_MODES}, got {seed_mode!r}"
             )
-        if delta_budget < 0:
+        if delta_budget is not None and delta_budget < 0:
             raise DetectionError(
                 f"delta_budget must be >= 0, got {delta_budget}"
             )
@@ -142,7 +144,13 @@ class CommuteTimeCalculator:
         self._factor_cache = resolve_factor_cache(factor_cache,
                                                   cache_budget_mb)
         self._cache_budget_mb = cache_budget_mb
+        if delta_budget is None:
+            # Resolved from the cache object, not the argument: an
+            # empty FactorCache is falsy (it defines __len__).
+            delta_budget = (DEFAULT_DELTA_BUDGET
+                            if self._factor_cache is not None else 0)
         self._delta_budget = int(delta_budget)
+        self._exact_builds = 0
         # Most recent exact solve, the anchor for delta updates:
         # (adjacency, pseudoinverse) of the last snapshot whose L^+
         # this calculator produced or fetched.
@@ -224,6 +232,12 @@ class CommuteTimeCalculator:
         return self._delta_budget
 
     @property
+    def exact_builds(self) -> int:
+        """Exact pseudoinverses built from scratch (not served from a
+        cache or advanced by the delta tier)."""
+        return self._exact_builds
+
+    @property
     def health(self) -> HealthMonitor:
         """The monitor accumulating this calculator's solve records."""
         return self._health
@@ -292,42 +306,6 @@ class CommuteTimeCalculator:
                 )
             return backend.commute_times(rows, cols)
 
-    def install_exact_backend(self, snapshot: GraphSnapshot,
-                              pseudoinverse: np.ndarray) -> None:
-        """Seed the backend cache with an externally maintained ``L^+``.
-
-        Lets an incremental maintainer (e.g.
-        :class:`~repro.linalg.updates.IncrementalPseudoinverse`) hand
-        its current pseudoinverse to the calculator so the exact path
-        skips the O(n^3) rebuild for ``snapshot``. The caller must
-        guarantee the matrix really is ``snapshot``'s Laplacian
-        pseudoinverse and never mutate it afterwards.
-
-        Raises:
-            DetectionError: when the snapshot would not resolve to the
-                exact backend (the installed matrix would be ignored —
-                surfacing that instead of silently recomputing).
-        """
-        if self.resolve_method(snapshot.num_nodes) != "exact":
-            raise DetectionError(
-                "install_exact_backend requires the exact backend; "
-                f"snapshot with {snapshot.num_nodes} nodes resolves to "
-                f"{self.resolve_method(snapshot.num_nodes)!r}"
-            )
-        add_counter("commute_backend_installs_total")
-        digest = snapshot.content_digest()
-        self._remember(digest, "exact", pseudoinverse)
-        self._delta_parent = (snapshot.adjacency, pseudoinverse)
-        if self._factor_cache is not None:
-            # Incrementally maintained matrices are rank-one products,
-            # not fresh factorizations: cache them at "updated" grade
-            # so bit-for-bit consumers never see them.
-            self._factor_cache.put(
-                (digest, "exact"), pseudoinverse,
-                nbytes=backend_nbytes(pseudoinverse, snapshot.adjacency),
-                exactness="updated", adjacency=snapshot.adjacency,
-            )
-
     def _shared_key(self, digest: bytes, method: str) -> tuple | None:
         """Cross-session cache key, or ``None`` when not cacheable.
 
@@ -380,14 +358,15 @@ class CommuteTimeCalculator:
                     )
                     self._delta_parent = (parent_adjacency, backend)
                 return backend
-            if (method == "exact" and self._delta_budget > 0
-                    and self._delta_parent is not None):
-                backend = self._delta_updated_backend(snapshot, digest,
-                                                      shared_key)
-                if backend is not None:
-                    return backend
+        if (method == "exact" and self._delta_budget > 0
+                and self._delta_parent is not None):
+            backend = self._delta_updated_backend(snapshot, digest,
+                                                  shared_key)
+            if backend is not None:
+                return backend
         add_counter("commute_backend_builds_total", method=method)
         if method == "exact":
+            self._exact_builds += 1
             with trace("commute.backend_build", method=method,
                        n=snapshot.num_nodes):
                 backend = laplacian_pseudoinverse(snapshot.adjacency)
@@ -422,14 +401,14 @@ class CommuteTimeCalculator:
         return backend
 
     def _delta_updated_backend(self, snapshot: GraphSnapshot,
-                               digest: bytes, shared_key: tuple):
+                               digest: bytes, shared_key: tuple | None):
         """Try advancing the last exact ``L^+`` by rank-one updates.
 
         Returns the updated backend (remembered locally, stored in the
-        factor cache at "updated" grade, and adopted as the new delta
-        parent), or ``None`` when the transition is out of budget or
-        changes structure in a way the identities cannot absorb — the
-        caller then factorizes from scratch.
+        factor cache at "updated" grade when one is in use, and adopted
+        as the new delta parent), or ``None`` when the transition is
+        out of budget or changes structure in a way the identities
+        cannot absorb — the caller then factorizes from scratch.
         """
         parent_adjacency, parent_pinv = self._delta_parent
         backend, edits = updated_pseudoinverse(
@@ -441,11 +420,12 @@ class CommuteTimeCalculator:
         add_counter("commute_backend_delta_updates_total")
         self._remember(digest, "exact", backend)
         self._delta_parent = (snapshot.adjacency, backend)
-        self._factor_cache.put(
-            shared_key, backend,
-            nbytes=backend_nbytes(backend, snapshot.adjacency),
-            exactness="updated", adjacency=snapshot.adjacency,
-        )
+        if shared_key is not None:
+            self._factor_cache.put(
+                shared_key, backend,
+                nbytes=backend_nbytes(backend, snapshot.adjacency),
+                exactness="updated", adjacency=snapshot.adjacency,
+            )
         return backend
 
     def _remember(self, digest: bytes, method: str, backend) -> None:

@@ -1,45 +1,30 @@
 """Streaming wrapper for event-score detectors.
 
-:class:`StreamingDetector` gives any registered
+:class:`StreamingDetector` runs any registered
 :class:`~repro.core.detector.EventScoreDetector` (ACT, LAD, the
-invariant and fusion detectors) the same push/finalize/checkpoint
-lifecycle as :class:`~repro.core.streaming.StreamingCadDetector`, so
-``repro.service`` sessions can run ``method=lad|fusion|...`` through
-the exact plumbing (WAL replay, evict/resume, failover) built for CAD:
+invariant and fusion detectors) through the stream lifecycle it shares
+with :class:`~repro.core.streaming.StreamingCadDetector`
+(:class:`~repro.core.streaming.StreamLifecycle`: push / push_raw /
+checkpoint / restore), so ``repro.service`` sessions can run
+``method=lad|fusion|...`` through the exact plumbing (WAL replay,
+evict/resume, failover) built for CAD. Only the threshold rule
+differs:
 
-* each push scores the newest transition with the wrapped detector and
-  cuts it at the *current* event threshold — the configured quantile of
-  the event scores seen so far (``None`` during warmup);
-* :meth:`finalize` re-cuts the whole history at the final threshold,
-  matching the batch :meth:`~repro.core.detector.EventScoreDetector.
-  detect` exactly;
-* :meth:`checkpoint` / :meth:`restore` round-trip through the same
-  ``.npz`` format, with the wrapped detector's private state (signature
-  windows, calibration histories, ...) carried in the checkpoint's
-  ``detector_state`` arrays — a restored stream continues bit-for-bit.
+* each push cuts the newest transition at the *current* event
+  threshold — the configured quantile of the event scores seen so far
+  (``None`` during warmup);
+* :meth:`~StreamingDetector.finalize` re-cuts the whole history at the
+  final threshold, matching the batch
+  :meth:`~repro.core.detector.EventScoreDetector.detect` exactly;
+* checkpoints carry the wrapped detector's private state (signature
+  windows, calibration histories, ...) as ``detector_state`` arrays —
+  a restored stream continues bit-for-bit.
 """
 
 from __future__ import annotations
 
-from pathlib import Path
 from typing import Any
 
-import numpy as np
-import scipy.sparse as sp
-
-from .._validation import check_positive_int
-from ..exceptions import CheckpointError, DetectionError, SolverError
-from ..graphs.sanitize import SANITIZE_POLICIES, sanitize_snapshot
-from ..graphs.snapshot import GraphSnapshot, NodeUniverse
-from ..observability import add_counter
-from ..resilience.checkpoint import (
-    FORMAT as CHECKPOINT_FORMAT,
-    VERSION as CHECKPOINT_VERSION,
-    read_checkpoint,
-    require_checkpoint_format,
-    write_checkpoint,
-)
-from ..resilience.health import HealthMonitor
 from ..core.detector import (
     EventScoreDetector,
     build_event_report,
@@ -48,6 +33,10 @@ from ..core.detector import (
     event_scores,
 )
 from ..core.results import DetectionReport, TransitionResult, TransitionScores
+from ..core.streaming import StreamLifecycle
+from ..exceptions import DetectionError
+from ..observability import add_counter
+from ..resilience.health import HealthMonitor
 from .registry import get_method
 
 #: Checkpoint config marker distinguishing wrapper checkpoints from
@@ -55,13 +44,8 @@ from .registry import get_method
 STREAM_KIND = "detector-stream"
 
 
-class StreamingDetector:
+class StreamingDetector(StreamLifecycle):
     """Online wrapper around one event-score detector.
-
-    Mirrors the :class:`~repro.core.streaming.StreamingCadDetector`
-    surface (push / push_raw / finalize / checkpoint / restore plus the
-    bookkeeping properties the service reads), so session plumbing
-    treats both interchangeably.
 
     Args:
         method: registered streaming-capable method name (``act``,
@@ -78,6 +62,8 @@ class StreamingDetector:
         **options: forwarded to the method's factory.
     """
 
+    KIND = STREAM_KIND
+
     def __init__(self, method: str,
                  anomalies_per_transition: int = 5,
                  warmup: int = 3,
@@ -89,11 +75,7 @@ class StreamingDetector:
             raise DetectionError(
                 f"method {entry.name!r} is not streaming-capable"
             )
-        if sanitize is not None and sanitize not in SANITIZE_POLICIES:
-            raise DetectionError(
-                f"sanitize must be None or one of {SANITIZE_POLICIES}, "
-                f"got {sanitize!r}"
-            )
+        super().__init__(anomalies_per_transition, warmup, sanitize)
         detector = entry.factory(**options)
         if not isinstance(detector, EventScoreDetector):
             raise DetectionError(
@@ -108,18 +90,9 @@ class StreamingDetector:
             )
         self._method = entry.name
         self._options = dict(options)
-        self._l = check_positive_int(
-            anomalies_per_transition, "anomalies_per_transition"
-        )
-        self._warmup = check_positive_int(warmup, "warmup")
-        self._sanitize = sanitize
         self._quantile = float(event_quantile)
         self._detector = detector
         self._health = HealthMonitor()
-        self._previous: GraphSnapshot | None = None
-        self._snapshots: list[GraphSnapshot] = []
-        self._scored: list[TransitionScores] = []
-        self._push_count = 0
 
     @property
     def method(self) -> str:
@@ -127,112 +100,11 @@ class StreamingDetector:
         return self._method
 
     @property
-    def num_transitions(self) -> int:
-        """Transitions scored so far."""
-        return len(self._scored)
-
-    @property
     def current_delta(self) -> float | None:
         """The current event threshold (``None`` during warmup)."""
         if len(self._scored) < self._warmup:
             return None
         return event_cut(event_scores(self._scored), self._quantile)
-
-    @property
-    def health(self) -> HealthMonitor:
-        """The stream's health accounting."""
-        return self._health
-
-    @property
-    def detector(self) -> EventScoreDetector:
-        """The wrapped per-transition detector."""
-        return self._detector
-
-    @property
-    def latest_snapshot(self) -> GraphSnapshot | None:
-        """The last accepted snapshot (``None`` before the first push)."""
-        return self._previous
-
-    @property
-    def sanitize_policy(self) -> str | None:
-        """The configured sanitize policy (``None`` = strict)."""
-        return self._sanitize
-
-    @property
-    def incremental(self) -> bool:
-        """Event-score streams never maintain an incremental backend."""
-        return False
-
-    def push(self, snapshot: GraphSnapshot) -> TransitionResult | None:
-        """Ingest the next snapshot; return the newest transition's
-        result cut at the current event threshold.
-
-        Returns ``None`` for the very first snapshot and during warmup.
-        With ``sanitize`` set, a snapshot whose transition cannot be
-        scored is quarantined and skipped; without a policy the error
-        propagates.
-        """
-        if self._previous is not None:
-            self._previous.require_same_universe(snapshot)
-        position = self._push_count
-        self._push_count += 1
-        if self._previous is None:
-            self._snapshots.append(snapshot)
-            self._previous = snapshot
-            return None
-        try:
-            scores = self._detector.score_transition(
-                self._previous, snapshot
-            )
-        except SolverError as error:
-            if self._sanitize is None:
-                raise
-            self._health.record_quarantine(
-                position, snapshot.time,
-                f"unscorable transition: {error}",
-            )
-            return None
-        add_counter("detector_stream_pushes_total")
-        self._snapshots.append(snapshot)
-        self._scored.append(scores)
-        self._previous = snapshot
-        threshold = self.current_delta
-        if threshold is None:
-            return None
-        index = len(self._scored) - 1
-        return cut_event_transition(
-            index, self._snapshots[index].time,
-            self._snapshots[index + 1].time,
-            scores, threshold, self._l,
-        )
-
-    def push_raw(self, adjacency: sp.spmatrix | np.ndarray,
-                 time: Any = None,
-                 universe: NodeUniverse | None = None,
-                 ) -> TransitionResult | None:
-        """Sanitize a raw adjacency matrix and push the result.
-
-        Same semantics as
-        :meth:`~repro.core.streaming.StreamingCadDetector.push_raw`:
-        defects are resolved under the stream's ``sanitize`` policy
-        (``"repair"`` when none was configured), repairs are recorded,
-        and quarantined matrices are skipped with the stream intact.
-        """
-        policy = self._sanitize if self._sanitize is not None else "repair"
-        if self._previous is not None:
-            universe = self._previous.universe
-        snapshot, report = sanitize_snapshot(
-            adjacency, universe, time=time, policy=policy
-        )
-        if snapshot is None:
-            self._health.record_quarantine(
-                self._push_count, time, report.describe()
-            )
-            self._push_count += 1
-            return None
-        if report.repaired:
-            self._health.record_repair(report.entries_fixed)
-        return self.push(snapshot)
 
     def finalize(self) -> DetectionReport:
         """Re-cut the whole history at the final threshold.
@@ -252,141 +124,36 @@ class StreamingDetector:
             health=None if health.is_empty() else health,
         )
 
-    def checkpoint(self, path: str | Path | None = None) -> dict[str, Any]:
-        """Capture the stream's full state as plain data.
+    def _update_threshold(self, scores: TransitionScores) -> float | None:
+        add_counter("detector_stream_pushes_total")
+        return self.current_delta
 
-        Reuses the CAD checkpoint format; the wrapped detector's
-        private state (from its ``streaming_state()``) rides along as
-        named ``detector_state`` arrays. Feed the result to
-        :meth:`restore` or persist via ``path``.
-        """
-        if not self._snapshots:
-            raise CheckpointError(
-                "nothing to checkpoint: no snapshot has been pushed"
-            )
-        universe = self._snapshots[0].universe
-        state: dict[str, Any] = {
-            "format": CHECKPOINT_FORMAT,
-            "version": CHECKPOINT_VERSION,
-            "config": {
-                "kind": STREAM_KIND,
-                "method": self._method,
-                "anomalies_per_transition": self._l,
-                "warmup": self._warmup,
-                "sanitize": self._sanitize,
-                "event_quantile": self._quantile,
-                "options": self._options,
-            },
-            "universe": list(universe),
-            "num_nodes": len(universe),
-            "snapshots": [
-                {
-                    "time": snapshot.time,
-                    "data": snapshot.adjacency.data,
-                    "indices": snapshot.adjacency.indices,
-                    "indptr": snapshot.adjacency.indptr,
-                }
-                for snapshot in self._snapshots
-            ],
-            "scored": [
-                {
-                    "detector": scores.detector,
-                    "edge_rows": scores.edge_rows,
-                    "edge_cols": scores.edge_cols,
-                    "edge_scores": scores.edge_scores,
-                    "node_scores": scores.node_scores,
-                    "extras": dict(scores.extras),
-                }
-                for scores in self._scored
-            ],
-            "push_count": self._push_count,
-            "health": self._health.state(),
+    def _cut(self, index: int, scores: TransitionScores,
+             threshold: float) -> TransitionResult:
+        return cut_event_transition(
+            index, self._snapshots[index].time,
+            self._snapshots[index + 1].time,
+            scores, threshold, self._l,
+        )
+
+    def _config(self) -> dict[str, Any]:
+        return {
+            "kind": STREAM_KIND,
+            "method": self._method,
+            "anomalies_per_transition": self._l,
+            "warmup": self._warmup,
+            "sanitize": self._sanitize,
+            "event_quantile": self._quantile,
+            "options": self._options,
+        }
+
+    def _private_state(self) -> dict[str, Any]:
+        return {
             "rng_state": None,
             "detector_state": self._detector.streaming_state(),
         }
-        if path is not None:
-            write_checkpoint(state, path)
-        return state
 
-    @classmethod
-    def restore(cls, state: dict[str, Any] | str | Path,
-                **options) -> StreamingDetector:
-        """Rebuild a stream from a checkpoint (dict or file path).
-
-        Unlike the CAD stream, everything — method name, budget,
-        quantile, and the detector construction options — lives in the
-        checkpoint itself, so no arguments need re-supplying;
-        ``options`` overrides are merged on top.
-
-        Raises:
-            CheckpointError: on a foreign, corrupt, wrong-version, or
-                non-wrapper checkpoint.
-        """
-        if not isinstance(state, dict):
-            state = read_checkpoint(state)
-        require_checkpoint_format(state)
-        try:
-            config = state["config"]
-            if config.get("kind") != STREAM_KIND:
-                raise CheckpointError(
-                    "not a detector-stream checkpoint (did you mean "
-                    "StreamingCadDetector.restore?)"
-                )
-            merged = dict(config.get("options") or {})
-            merged.update(options)
-            stream = cls(
-                config["method"],
-                anomalies_per_transition=config[
-                    "anomalies_per_transition"
-                ],
-                warmup=config["warmup"],
-                sanitize=config.get("sanitize"),
-                event_quantile=config.get("event_quantile"),
-                **merged,
-            )
-            universe = NodeUniverse(state["universe"])
-            n = int(state["num_nodes"])
-            for entry in state["snapshots"]:
-                matrix = sp.csr_matrix(
-                    (
-                        np.asarray(entry["data"], dtype=np.float64),
-                        np.asarray(entry["indices"]),
-                        np.asarray(entry["indptr"]),
-                    ),
-                    shape=(n, n),
-                )
-                stream._snapshots.append(
-                    GraphSnapshot(matrix, universe, entry["time"])
-                )
-            for entry in state["scored"]:
-                stream._scored.append(TransitionScores(
-                    universe=universe,
-                    edge_rows=np.asarray(entry["edge_rows"],
-                                         dtype=np.int64),
-                    edge_cols=np.asarray(entry["edge_cols"],
-                                         dtype=np.int64),
-                    edge_scores=np.asarray(entry["edge_scores"],
-                                           dtype=np.float64),
-                    node_scores=np.asarray(entry["node_scores"],
-                                           dtype=np.float64),
-                    detector=entry["detector"],
-                    extras={
-                        name: np.asarray(extra)
-                        for name, extra in entry["extras"].items()
-                    },
-                ))
-            stream._previous = (
-                stream._snapshots[-1] if stream._snapshots else None
-            )
-            stream._push_count = int(state["push_count"])
-            stream._health.load_state(state["health"])
-            stream._detector.load_streaming_state(
-                state.get("detector_state") or {}
-            )
-        except CheckpointError:
-            raise
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CheckpointError(
-                f"malformed checkpoint state: {exc}"
-            ) from exc
-        return stream
+    def _load_private_state(self, state: dict[str, Any]) -> None:
+        self._detector.load_streaming_state(
+            state.get("detector_state") or {}
+        )

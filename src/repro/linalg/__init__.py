@@ -46,17 +46,12 @@ from .solvers import (
     make_solver,
 )
 from .sparsify import effective_resistances, sparsify
-from .updates import (
-    IncrementalPseudoinverse,
-    rank_one_merge_update,
-    rank_one_update,
-)
+from .updates import rank_one_merge_update, rank_one_update
 
 __all__ = [
     "CommuteTimeEmbedding",
     "DISTANCE_REGISTRY",
     "FactorCache",
-    "IncrementalPseudoinverse",
     "LaplacianSolver",
     "block_conjugate_gradient",
     "commute_distance_matrix",

@@ -13,7 +13,7 @@ restoring against a sequence with a different fingerprint raises
 :class:`~repro.exceptions.CheckpointError` instead of silently merging
 scores of one dataset into another.
 
-Same ``.npz`` + ``meta_json`` idiom as
+Written with the ``.npz`` + ``meta_json`` codec of
 :mod:`repro.resilience.checkpoint`; time labels must survive a JSON
 round-trip.
 """
@@ -21,8 +21,6 @@ round-trip.
 from __future__ import annotations
 
 import hashlib
-import json
-import zipfile
 from pathlib import Path
 from typing import Any
 
@@ -30,8 +28,7 @@ import numpy as np
 
 from ..exceptions import CheckpointError
 from ..graphs.dynamic import DynamicGraph
-from ..observability import trace
-from ..store import atomic_writer
+from ..resilience.checkpoint import read_npz_document, write_npz_document
 from .worker import PAYLOAD_ARRAYS
 
 #: Document format marker for forwards compatibility.
@@ -83,20 +80,11 @@ def write_parallel_checkpoint(path: str | Path,
         "transitions": sorted(int(t) for t in payloads),
         "worker_health": worker_health,
     }
-    try:
-        encoded = json.dumps(meta)
-    except (TypeError, ValueError) as exc:
-        raise CheckpointError(
-            "parallel checkpoint state is not JSON-serialisable; time "
-            f"labels must be plain scalars ({exc})"
-        ) from exc
-    arrays["meta_json"] = np.array(encoded)
-    with trace("checkpoint.write", arrays=len(arrays)):
-        # Atomic (temp + fsync + rename): a kill mid-write leaves the
-        # previous resume point intact instead of a torn archive.
-        with atomic_writer(Path(path)) as temp:
-            with open(temp, "wb") as handle:
-                np.savez_compressed(handle, **arrays)
+    write_npz_document(
+        path, meta, arrays,
+        "parallel checkpoint state is not JSON-serialisable; time "
+        "labels must be plain scalars",
+    )
 
 
 def read_parallel_checkpoint(path: str | Path,
@@ -117,40 +105,22 @@ def read_parallel_checkpoint(path: str | Path,
         CheckpointError: on a missing, corrupt, foreign, wrong-version,
             or wrong-fingerprint document.
     """
-    try:
-        with trace("checkpoint.read"), \
-                np.load(Path(path), allow_pickle=False) as archive:
-            if "meta_json" not in archive:
-                raise CheckpointError(f"{path}: not a {FORMAT} archive")
-            meta = json.loads(str(archive["meta_json"]))
-            if not isinstance(meta, dict) or meta.get("format") != FORMAT:
-                raise CheckpointError(f"{path}: not a {FORMAT} document")
-            if meta.get("version") != VERSION:
-                raise CheckpointError(
-                    f"unsupported parallel checkpoint version "
-                    f"{meta.get('version')!r} (expected {VERSION})"
-                )
-            if fingerprint is not None and meta["fingerprint"] != fingerprint:
-                raise CheckpointError(
-                    f"{path} was written for a different input sequence "
-                    f"(fingerprint {meta['fingerprint']}, expected "
-                    f"{fingerprint})"
-                )
-            payloads: dict[int, dict[str, np.ndarray]] = {}
-            for transition in meta["transitions"]:
-                payloads[int(transition)] = {
-                    name: archive[f"transition_{transition}_{name}"]
-                    for name in PAYLOAD_ARRAYS
-                }
-            worker_health = {
-                str(worker): state
-                for worker, state in meta["worker_health"].items()
+    with read_npz_document(path, FORMAT, VERSION,
+                           "parallel checkpoint") as (meta, archive):
+        if fingerprint is not None and meta["fingerprint"] != fingerprint:
+            raise CheckpointError(
+                f"{path} was written for a different input sequence "
+                f"(fingerprint {meta['fingerprint']}, expected "
+                f"{fingerprint})"
+            )
+        payloads: dict[int, dict[str, np.ndarray]] = {}
+        for transition in meta["transitions"]:
+            payloads[int(transition)] = {
+                name: archive[f"transition_{transition}_{name}"]
+                for name in PAYLOAD_ARRAYS
             }
-    except CheckpointError:
-        raise
-    except (OSError, ValueError, KeyError, zipfile.BadZipFile,
-            json.JSONDecodeError) as exc:
-        raise CheckpointError(
-            f"cannot read parallel checkpoint {path}: {exc}"
-        ) from exc
+        worker_health = {
+            str(worker): state
+            for worker, state in meta["worker_health"].items()
+        }
     return payloads, worker_health

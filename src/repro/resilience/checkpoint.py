@@ -11,14 +11,20 @@ Node labels and time labels must survive a JSON round-trip (strings,
 ints, floats, booleans, ``None``); checkpointing a stream with richer
 labels raises :class:`~repro.exceptions.CheckpointError` rather than
 silently mangling identity.
+
+The archive codec itself — named arrays plus a ``meta_json`` header
+carrying a format marker and version — is :func:`write_npz_document` /
+:func:`read_npz_document`, shared with the parallel engine's resume
+checkpoints (:mod:`repro.parallel.checkpoint`).
 """
 
 from __future__ import annotations
 
 import json
 import zipfile
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterator
 
 import numpy as np
 
@@ -34,19 +40,77 @@ _SNAPSHOT_ARRAYS = ("data", "indices", "indptr")
 _SCORED_ARRAYS = ("edge_rows", "edge_cols", "edge_scores", "node_scores")
 
 
-def require_checkpoint_format(state: dict[str, Any]) -> None:
-    """Validate a checkpoint state's format marker and version.
+def require_checkpoint_format(state: dict[str, Any],
+                              format: str = FORMAT,
+                              version: int = VERSION,
+                              label: str = "checkpoint") -> None:
+    """Validate a document's format marker and version (by default
+    those of a stream checkpoint state).
 
     Raises:
         CheckpointError: on a foreign or wrong-version document.
     """
-    if not isinstance(state, dict) or state.get("format") != FORMAT:
-        raise CheckpointError(f"not a {FORMAT} document")
-    if state.get("version") != VERSION:
+    if not isinstance(state, dict) or state.get("format") != format:
+        raise CheckpointError(f"not a {format} document")
+    if state.get("version") != version:
         raise CheckpointError(
-            f"unsupported checkpoint version {state.get('version')!r} "
-            f"(expected {VERSION})"
+            f"unsupported {label} version {state.get('version')!r} "
+            f"(expected {version})"
         )
+
+
+def write_npz_document(path: str | Path, meta: dict[str, Any],
+                       arrays: dict[str, np.ndarray],
+                       unserialisable: str) -> None:
+    """Write named arrays plus a JSON ``meta`` header as one ``.npz``.
+
+    The write is atomic (temp + fsync + rename): a crash mid-write
+    leaves the previous file intact instead of a torn archive.
+
+    Raises:
+        CheckpointError: ``"{unserialisable} (...)"`` when ``meta``
+            cannot be JSON-encoded.
+    """
+    try:
+        encoded = json.dumps(meta)
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(f"{unserialisable} ({exc})") from exc
+    arrays = {**arrays, "meta_json": np.array(encoded)}
+    with trace("checkpoint.write", arrays=len(arrays)):
+        with atomic_writer(Path(path)) as temp:
+            with open(temp, "wb") as handle:
+                np.savez_compressed(handle, **arrays)
+
+
+@contextmanager
+def read_npz_document(path: str | Path,
+                      format: str = FORMAT,
+                      version: int = VERSION,
+                      label: str = "checkpoint",
+                      ) -> Iterator[tuple[dict[str, Any], Any]]:
+    """Open an archive written by :func:`write_npz_document`.
+
+    Yields ``(meta, archive)`` once the header's format and version
+    check out; read arrays from ``archive`` inside the ``with`` block.
+    Missing files, corrupt archives and missing entries — also those
+    hit inside the block — surface as
+    :class:`~repro.exceptions.CheckpointError`.
+    """
+    try:
+        with trace("checkpoint.read"), \
+                np.load(Path(path), allow_pickle=False) as archive:
+            if "meta_json" not in archive:
+                raise CheckpointError(f"{path}: not a {format} archive")
+            meta = json.loads(str(archive["meta_json"]))
+            require_checkpoint_format(meta, format, version, label)
+            yield meta, archive
+    except CheckpointError:
+        raise
+    except (OSError, ValueError, KeyError, zipfile.BadZipFile,
+            json.JSONDecodeError) as exc:
+        raise CheckpointError(
+            f"cannot read {label} {path}: {exc}"
+        ) from exc
 
 
 def write_checkpoint(state: dict[str, Any], path: str | Path) -> None:
@@ -100,20 +164,11 @@ def write_checkpoint(state: dict[str, Any], path: str | Path) -> None:
         "rng_state": state["rng_state"],
         "detector_state": sorted(detector_state),
     }
-    try:
-        encoded = json.dumps(meta)
-    except (TypeError, ValueError) as exc:
-        raise CheckpointError(
-            "checkpoint state is not JSON-serialisable; node labels and "
-            f"time labels must be plain scalars ({exc})"
-        ) from exc
-    arrays["meta_json"] = np.array(encoded)
-    with trace("checkpoint.write", arrays=len(arrays)):
-        # Atomic (temp + fsync + rename): a crash mid-write leaves the
-        # previous checkpoint intact instead of a torn archive.
-        with atomic_writer(Path(path)) as temp:
-            with open(temp, "wb") as handle:
-                np.savez_compressed(handle, **arrays)
+    write_npz_document(
+        path, meta, arrays,
+        "checkpoint state is not JSON-serialisable; node labels and "
+        "time labels must be plain scalars",
+    )
 
 
 def read_checkpoint(path: str | Path) -> dict[str, Any]:
@@ -128,44 +183,27 @@ def read_checkpoint(path: str | Path) -> dict[str, Any]:
         CheckpointError: on a missing, corrupt, foreign, or
             wrong-version file.
     """
-    try:
-        with trace("checkpoint.read"), \
-                np.load(Path(path), allow_pickle=False) as archive:
-            if "meta_json" not in archive:
-                raise CheckpointError(f"{path}: not a {FORMAT} archive")
-            meta = json.loads(str(archive["meta_json"]))
-            require_checkpoint_format(meta)
-            snapshots = []
-            for position, entry in enumerate(meta["snapshots"]):
-                snapshot = {"time": entry["time"]}
-                for name in _SNAPSHOT_ARRAYS:
-                    snapshot[name] = archive[
-                        f"snapshot_{position}_{name}"
-                    ]
-                snapshots.append(snapshot)
-            scored = []
-            for position, entry in enumerate(meta["scored"]):
-                scores: dict[str, Any] = {"detector": entry["detector"]}
-                for name in _SCORED_ARRAYS:
-                    scores[name] = archive[f"scored_{position}_{name}"]
-                scores["extras"] = {
-                    extra_name: archive[
-                        f"scored_{position}_extra_{extra_name}"
-                    ]
-                    for extra_name in entry["extras"]
-                }
-                scored.append(scores)
-            detector_state = {
-                name: archive[f"detector_{name}"]
-                for name in meta.get("detector_state", [])
+    with read_npz_document(path) as (meta, archive):
+        snapshots = []
+        for position, entry in enumerate(meta["snapshots"]):
+            snapshot = {"time": entry["time"]}
+            for name in _SNAPSHOT_ARRAYS:
+                snapshot[name] = archive[f"snapshot_{position}_{name}"]
+            snapshots.append(snapshot)
+        scored = []
+        for position, entry in enumerate(meta["scored"]):
+            scores: dict[str, Any] = {"detector": entry["detector"]}
+            for name in _SCORED_ARRAYS:
+                scores[name] = archive[f"scored_{position}_{name}"]
+            scores["extras"] = {
+                extra_name: archive[f"scored_{position}_extra_{extra_name}"]
+                for extra_name in entry["extras"]
             }
-    except CheckpointError:
-        raise
-    except (OSError, ValueError, KeyError, zipfile.BadZipFile,
-            json.JSONDecodeError) as exc:
-        raise CheckpointError(
-            f"cannot read checkpoint {path}: {exc}"
-        ) from exc
+            scored.append(scores)
+        detector_state = {
+            name: archive[f"detector_{name}"]
+            for name in meta.get("detector_state", [])
+        }
     return {
         "format": FORMAT,
         "version": VERSION,

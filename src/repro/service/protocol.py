@@ -41,9 +41,9 @@ CAD_METHODS = ("exact", "approx", "auto", "cad")
 class SessionConfig:
     """Validated, JSON-round-trippable configuration of one session.
 
-    Mirrors :class:`~repro.core.streaming.StreamingCadDetector`'s
-    constructor. ``seed`` is restricted to an integer (or ``None``) so
-    the configuration survives the eviction checkpoint's JSON sidecar.
+    Mirrors the stream constructors (see :meth:`detector_kwargs`).
+    ``seed`` is restricted to an integer (or ``None``) so the
+    configuration survives the eviction checkpoint's JSON sidecar.
     """
 
     anomalies_per_transition: int = 5
@@ -66,42 +66,33 @@ class SessionConfig:
         detector behind :class:`~repro.detectors.StreamingDetector`)."""
         return self.method in CAD_METHODS
 
-    def cad_kwargs(self) -> dict[str, Any]:
-        """Constructor arguments for the inner ``CadDetector`` — the
-        part :meth:`StreamingCadDetector.restore` needs re-supplied."""
-        return {
-            "method": "auto" if self.method == "cad" else self.method,
-            "k": self.k,
-            "seed": self.seed,
-            "solver": self.solver,
-            "exact_limit": self.exact_limit,
-            "seed_mode": self.seed_mode,
-            "factor_cache": "shared" if self.factor_cache else None,
-            "cache_budget_mb": self.cache_budget_mb,
-        }
-
     def detector_kwargs(self) -> dict[str, Any]:
-        """Full ``StreamingCadDetector`` constructor arguments."""
-        return {
+        """Constructor arguments of the session's stream — a
+        :class:`~repro.core.streaming.StreamingCadDetector` for CAD
+        methods, a :class:`~repro.detectors.StreamingDetector`
+        otherwise. Also the overrides for either stream's ``restore``."""
+        common = {
             "anomalies_per_transition": self.anomalies_per_transition,
             "warmup": self.warmup,
             "sanitize": self.sanitize,
-            "incremental": self.incremental,
-            **self.cad_kwargs(),
         }
-
-    def stream_kwargs(self) -> dict[str, Any]:
-        """:class:`~repro.detectors.StreamingDetector` constructor
-        arguments (non-CAD methods)."""
+        if self.uses_cad:
+            return {
+                **common,
+                "incremental": self.incremental,
+                "method": "auto" if self.method == "cad" else self.method,
+                "k": self.k,
+                "seed": self.seed,
+                "solver": self.solver,
+                "exact_limit": self.exact_limit,
+                "seed_mode": self.seed_mode,
+                "factor_cache": "shared" if self.factor_cache else None,
+                "cache_budget_mb": self.cache_budget_mb,
+            }
         options = dict(self.detector_options or {})
         if self.seed is not None and "seed" not in options:
             options["seed"] = self.seed
-        return {
-            "anomalies_per_transition": self.anomalies_per_transition,
-            "warmup": self.warmup,
-            "sanitize": self.sanitize,
-            **options,
-        }
+        return {**common, **options, "method": self.method}
 
     def to_document(self) -> dict[str, Any]:
         """JSON-ready form (the eviction sidecar format).
@@ -221,9 +212,14 @@ def _check_method(config: SessionConfig) -> None:
             "detector_options must be a JSON object, got "
             f"{type(config.detector_options).__name__}"
         )
+    if "method" in (config.detector_options or {}):
+        raise BadRequestError(
+            f"invalid detector_options for method {config.method!r}: "
+            "'method' is a session key, not a detector option"
+        )
     try:
         # Trial construction: bad option names/values fail the POST.
-        StreamingDetector(config.method, **config.stream_kwargs())
+        StreamingDetector(**config.detector_kwargs())
     except (ReproError, TypeError) as exc:
         raise BadRequestError(
             f"invalid detector_options for method "

@@ -130,16 +130,18 @@ def default_replica_id() -> str:
     return f"{socket.gethostname()}-{os.getpid()}"
 
 
-def build_stream(config: SessionConfig) -> SessionStream:
-    """Construct the stream a session's config asks for.
+def build_stream(config: SessionConfig,
+                 checkpoint: str | Path | None = None) -> SessionStream:
+    """Construct (or restore from ``checkpoint``) a session's stream.
 
     CAD methods (``exact``/``approx``/``auto``/``cad``) get the
     commute-time stream; every other (registry) method runs behind the
     generic :class:`~repro.detectors.StreamingDetector` wrapper.
     """
-    if config.uses_cad:
-        return StreamingCadDetector(**config.detector_kwargs())
-    return StreamingDetector(config.method, **config.stream_kwargs())
+    stream = StreamingCadDetector if config.uses_cad else StreamingDetector
+    if checkpoint is None:
+        return stream(**config.detector_kwargs())
+    return stream.restore(checkpoint, **config.detector_kwargs())
 
 #: Sidecar format marker written next to eviction checkpoints.
 SIDECAR_FORMAT = "repro-service-session"
@@ -771,12 +773,7 @@ class SessionManager:
             if self._store.exists(npz_key):
                 with self._store.local_copy(npz_key,
                                             suffix=".npz") as local:
-                    if record.config.uses_cad:
-                        detector = StreamingCadDetector.restore(
-                            local, **record.config.cad_kwargs()
-                        )
-                    else:
-                        detector = StreamingDetector.restore(local)
+                    detector = build_stream(record.config, local)
             else:  # evicted before its first snapshot
                 detector = build_stream(record.config)
         record.detector = detector

@@ -7,6 +7,7 @@ from repro.core import CommuteTimeCalculator
 from repro.exceptions import DetectionError
 from repro.graphs import GraphSnapshot
 from repro.linalg import FactorCache, commute_time_matrix
+from repro.linalg.factorcache import DEFAULT_DELTA_BUDGET
 from repro.observability import collecting
 
 
@@ -182,6 +183,57 @@ class TestFactorCache:
         cold = CommuteTimeCalculator(method="exact")
         expected = cold.pairwise(drifted, rows, cols)
         np.testing.assert_allclose(values, expected, atol=1e-8)
+
+    def test_default_delta_budget_with_empty_cache_instance(
+            self, random_connected_graph):
+        # An empty FactorCache is falsy (it defines __len__); the
+        # default budget must still follow the resolved cache.
+        calculator = CommuteTimeCalculator(
+            method="exact", factor_cache=FactorCache(budget_mb=64)
+        )
+        assert calculator.delta_budget == DEFAULT_DELTA_BUDGET
+        rows, cols = np.array([0]), np.array([1])
+        calculator.pairwise(random_connected_graph, rows, cols)
+        edited = random_connected_graph.adjacency.tolil()
+        edited[0, 5] = edited[5, 0] = 2.0
+        drifted = GraphSnapshot(edited.tocsr(),
+                                random_connected_graph.universe)
+        with collecting() as registry:
+            calculator.pairwise(drifted, rows, cols)
+        assert registry.counter_value(
+            "commute_backend_delta_updates_total"
+        ) == 1
+        assert calculator.exact_builds == 1
+
+    def test_delta_tier_runs_without_cache(self, random_connected_graph):
+        calculator = CommuteTimeCalculator(method="exact", delta_budget=8)
+        rows, cols = np.array([0, 2]), np.array([1, 3])
+        calculator.pairwise(random_connected_graph, rows, cols)
+        edited = random_connected_graph.adjacency.tolil()
+        edited[0, 5] = edited[5, 0] = 2.0
+        drifted = GraphSnapshot(edited.tocsr(),
+                                random_connected_graph.universe)
+        values = calculator.pairwise(drifted, rows, cols)
+        assert calculator.exact_builds == 1
+        expected = CommuteTimeCalculator(method="exact").pairwise(
+            drifted, rows, cols
+        )
+        np.testing.assert_allclose(values, expected, atol=1e-8)
+
+    def test_no_delta_tier_without_cache_by_default(
+            self, random_connected_graph):
+        calculator = CommuteTimeCalculator(method="exact")
+        assert calculator.delta_budget == 0
+        assert calculator.spec()["delta_budget"] == 0
+        rows, cols = np.array([0]), np.array([1])
+        calculator.pairwise(random_connected_graph, rows, cols)
+        edited = random_connected_graph.adjacency.tolil()
+        edited[0, 5] = edited[5, 0] = 2.0
+        calculator.pairwise(
+            GraphSnapshot(edited.tocsr(), random_connected_graph.universe),
+            rows, cols,
+        )
+        assert calculator.exact_builds == 2
 
     def test_zero_delta_budget_disables_updates(
             self, random_connected_graph):

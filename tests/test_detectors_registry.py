@@ -286,6 +286,14 @@ class TestServiceParity:
                 "detector_options": {"no_such_knob": 1},
             })
 
+    def test_detector_options_cannot_switch_method(self, tmp_path):
+        manager = SessionManager(checkpoint_dir=tmp_path)
+        with pytest.raises(BadRequestError, match="method"):
+            manager.create_session({
+                "method": "lad",
+                "detector_options": {"method": "act"},
+            })
+
     def test_detector_options_rejected_for_cad(self, tmp_path):
         manager = SessionManager(checkpoint_dir=tmp_path)
         with pytest.raises(BadRequestError):

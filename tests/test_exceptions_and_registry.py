@@ -49,7 +49,6 @@ class TestRegistryCompleteness:
         """The documented top-level names resolve."""
         for name in ("CadDetector", "StreamingCadDetector",
                      "GenericDistanceDetector", "detect",
-                     "toy_example", "explain_node", "sparsify",
-                     "IncrementalPseudoinverse"):
+                     "toy_example", "explain_node", "sparsify"):
             assert hasattr(repro, name), name
         assert repro.__version__

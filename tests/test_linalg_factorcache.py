@@ -211,6 +211,46 @@ class TestUpdatedPseudoinverse:
         expected = laplacian_pseudoinverse(target.adjacency)
         np.testing.assert_allclose(updated, expected, atol=1e-10)
 
+    def test_many_merges_in_one_transition(self):
+        # Eight isolated pairs stitched into one 16-node path by a
+        # single transition: seven Meyer merges, no refactorization.
+        adjacency = np.zeros((16, 16))
+        for i in range(0, 16, 2):
+            adjacency[i, i + 1] = adjacency[i + 1, i] = 1.0
+        parent = GraphSnapshot(adjacency.copy())
+        rng = np.random.default_rng(21)
+        for i in range(1, 15, 2):
+            adjacency[i, i + 1] = adjacency[i + 1, i] = float(
+                rng.uniform(0.5, 2.0)
+            )
+        target = GraphSnapshot(adjacency)
+        updated, edits = updated_pseudoinverse(
+            parent.adjacency, laplacian_pseudoinverse(parent.adjacency),
+            target.adjacency,
+        )
+        assert edits == 7
+        expected = laplacian_pseudoinverse(target.adjacency)
+        np.testing.assert_allclose(updated, expected, atol=1e-8)
+
+    def test_merge_then_edit_inside_merged_component(self):
+        # Whichever edit comes first merges the two paths; the other
+        # then lands inside the merged component, so the relabelled
+        # components must feed a Sherman–Morrison update correctly.
+        adjacency = np.zeros((6, 6))
+        for i, j in [(0, 1), (1, 2), (3, 4), (4, 5)]:
+            adjacency[i, j] = adjacency[j, i] = 1.0
+        parent = GraphSnapshot(adjacency.copy())
+        adjacency[2, 3] = adjacency[3, 2] = 1.5
+        adjacency[0, 5] = adjacency[5, 0] = 0.7
+        target = GraphSnapshot(adjacency)
+        updated, edits = updated_pseudoinverse(
+            parent.adjacency, laplacian_pseudoinverse(parent.adjacency),
+            target.adjacency,
+        )
+        assert edits == 2
+        expected = laplacian_pseudoinverse(target.adjacency)
+        np.testing.assert_allclose(updated, expected, atol=1e-9)
+
     def test_shape_mismatch_returns_none(self, graph, disconnected_graph):
         pinv = laplacian_pseudoinverse(graph.adjacency)
         updated, edits = updated_pseudoinverse(

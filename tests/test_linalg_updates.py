@@ -1,12 +1,11 @@
-"""Unit tests for incremental Laplacian pseudoinverse updates."""
+"""Unit tests for the rank-one Laplacian pseudoinverse updates."""
 
 import numpy as np
 import pytest
 
 from repro.exceptions import SolverError
-from repro.graphs import GraphSnapshot, random_sparse_graph
+from repro.graphs import random_sparse_graph
 from repro.linalg import (
-    IncrementalPseudoinverse,
     laplacian_pseudoinverse,
     rank_one_merge_update,
     rank_one_update,
@@ -92,114 +91,3 @@ class TestRankOneMergeUpdate:
         with pytest.raises(SolverError, match="positive"):
             rank_one_merge_update(pseudo, 1, 2, 0.0,
                                   np.array([0, 0, 1, 1]))
-
-
-class TestIncrementalPseudoinverse:
-    def test_tracks_many_edits(self, graph):
-        incremental = IncrementalPseudoinverse(graph)
-        adjacency = graph.adjacency.tolil()
-        rng = np.random.default_rng(0)
-        for _ in range(12):
-            i, j = rng.integers(0, 50, size=2)
-            if i == j:
-                continue
-            weight = float(rng.uniform(0.1, 2.0))
-            incremental.apply_edit(int(i), int(j), weight)
-            adjacency[i, j] = adjacency[j, i] = weight
-        expected = laplacian_pseudoinverse(adjacency.tocsr())
-        np.testing.assert_allclose(incremental.pseudoinverse, expected,
-                                   atol=1e-7)
-
-    def test_component_merge_updates_without_recompute(
-            self, disconnected_graph):
-        incremental = IncrementalPseudoinverse(disconnected_graph)
-        before = incremental.recompute_count
-        incremental.apply_edit(1, 2, 1.0)  # joins the two components
-        assert incremental.recompute_count == before  # no fallback
-        assert incremental.merge_update_count == 1
-        expected = laplacian_pseudoinverse(incremental.adjacency)
-        np.testing.assert_allclose(incremental.pseudoinverse, expected,
-                                   atol=1e-9)
-
-    def test_growing_disconnected_graph_never_recomputes(self):
-        # Regression: a graph assembled component by component used to
-        # trigger a full O(n^3) recompute on *every* joining edge; the
-        # Meyer merge update absorbs them all. Start from 8 isolated
-        # pairs and stitch them into one path.
-        adjacency = np.zeros((16, 16))
-        for i in range(0, 16, 2):
-            adjacency[i, i + 1] = adjacency[i + 1, i] = 1.0
-        incremental = IncrementalPseudoinverse(GraphSnapshot(adjacency))
-        rng = np.random.default_rng(21)
-        for i in range(1, 15, 2):
-            incremental.apply_edit(i, i + 1,
-                                   float(rng.uniform(0.5, 2.0)))
-        assert incremental.recompute_count == 1  # only the initial build
-        assert incremental.merge_update_count == 7
-        expected = laplacian_pseudoinverse(incremental.adjacency)
-        np.testing.assert_allclose(incremental.pseudoinverse, expected,
-                                   atol=1e-8)
-
-    def test_merge_then_within_component_edits_stay_consistent(self):
-        # After a merge the relabelled components must feed later
-        # Sherman–Morrison updates correctly.
-        adjacency = np.zeros((6, 6))
-        for i, j in [(0, 1), (1, 2), (3, 4), (4, 5)]:
-            adjacency[i, j] = adjacency[j, i] = 1.0
-        incremental = IncrementalPseudoinverse(GraphSnapshot(adjacency))
-        incremental.apply_edit(2, 3, 1.5)  # merge the two paths
-        incremental.apply_edit(0, 5, 0.7)  # now within one component
-        assert incremental.recompute_count == 1
-        expected = laplacian_pseudoinverse(incremental.adjacency)
-        np.testing.assert_allclose(incremental.pseudoinverse, expected,
-                                   atol=1e-9)
-
-    def test_component_split_recomputes(self):
-        adjacency = np.zeros((4, 4))
-        for i, j in [(0, 1), (1, 2), (2, 3)]:
-            adjacency[i, j] = adjacency[j, i] = 1.0
-        incremental = IncrementalPseudoinverse(GraphSnapshot(adjacency))
-        before = incremental.recompute_count
-        incremental.apply_edit(1, 2, 0.0)  # splits the path
-        assert incremental.recompute_count == before + 1
-        expected = laplacian_pseudoinverse(incremental.adjacency)
-        np.testing.assert_allclose(incremental.pseudoinverse, expected,
-                                   atol=1e-9)
-
-    def test_advance_to_matches_target(self, graph):
-        from repro.graphs import perturb_weights
-
-        target = perturb_weights(graph, 0.2, seed=9)
-        incremental = IncrementalPseudoinverse(graph)
-        edits = incremental.advance_to(target)
-        assert edits > 0
-        expected = laplacian_pseudoinverse(target.adjacency)
-        np.testing.assert_allclose(incremental.pseudoinverse, expected,
-                                   atol=1e-6)
-
-    def test_commute_times_from_incremental(self, graph):
-        incremental = IncrementalPseudoinverse(graph)
-        incremental.apply_edit(0, 25, 3.0)
-        from repro.linalg import commute_times_for_pairs
-
-        rows = np.array([0, 5])
-        cols = np.array([25, 30])
-        expected = commute_times_for_pairs(
-            incremental.adjacency, rows, cols
-        )
-        np.testing.assert_allclose(
-            incremental.commute_times(rows, cols), expected, atol=1e-7
-        )
-
-    def test_rejects_negative_weight(self, graph):
-        incremental = IncrementalPseudoinverse(graph)
-        with pytest.raises(SolverError):
-            incremental.apply_edit(0, 1, -1.0)
-
-    def test_noop_edit(self, graph):
-        incremental = IncrementalPseudoinverse(graph)
-        weight = float(graph.adjacency[0, graph.neighbors(0)[0]])
-        j = graph.neighbors(0)[0]
-        before = incremental.pseudoinverse.copy()
-        incremental.apply_edit(0, j, weight)
-        np.testing.assert_array_equal(incremental.pseudoinverse, before)
