@@ -21,7 +21,9 @@ checkpoints (:mod:`repro.parallel.checkpoint`).
 from __future__ import annotations
 
 import json
+import tokenize
 import zipfile
+import zlib
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Iterator
@@ -92,13 +94,15 @@ def read_npz_document(path: str | Path,
 
     Yields ``(meta, archive)`` once the header's format and version
     check out; read arrays from ``archive`` inside the ``with`` block.
-    Missing files, corrupt archives and missing entries — also those
-    hit inside the block — surface as
+    Missing files, corrupt archives (bit flips included, whichever
+    layer of zip, zlib or the ``.npy`` header they break) and missing
+    entries — also those hit inside the block — surface as
     :class:`~repro.exceptions.CheckpointError`.
     """
     try:
-        with trace("checkpoint.read"), \
-                np.load(Path(path), allow_pickle=False) as archive:
+        # Our own handle: np.load leaks the one it opens on a bad zip.
+        with trace("checkpoint.read"), open(Path(path), "rb") as handle, \
+                np.load(handle, allow_pickle=False) as archive:
             if "meta_json" not in archive:
                 raise CheckpointError(f"{path}: not a {format} archive")
             meta = json.loads(str(archive["meta_json"]))
@@ -107,7 +111,8 @@ def read_npz_document(path: str | Path,
     except CheckpointError:
         raise
     except (OSError, ValueError, KeyError, zipfile.BadZipFile,
-            json.JSONDecodeError) as exc:
+            json.JSONDecodeError, zlib.error, tokenize.TokenError,
+            EOFError, NotImplementedError) as exc:
         raise CheckpointError(
             f"cannot read {label} {path}: {exc}"
         ) from exc

@@ -55,7 +55,7 @@ from ..observability import (
     get_logger,
     render_prometheus,
 )
-from ..store import SessionStore, StoreUnavailableError
+from ..store import StoreUnavailableError
 from .errors import (
     BadRequestError,
     NotFoundError,
@@ -306,67 +306,33 @@ class DetectionHTTPServer(ThreadingHTTPServer):
 
 def make_server(host: str = "127.0.0.1",
                 port: int = 0,
-                max_sessions: int = 64,
-                max_queue: int = 32,
-                checkpoint_dir: str | None = None,
-                store: SessionStore | str | None = None,
-                replica_id: str | None = None,
-                lease_ttl: float | None = None,
-                workers: int = 1,
                 registry: MetricsRegistry | None = None,
-                wal: bool = True,
-                request_deadline: float | None = None,
-                breaker_threshold: int = 3,
-                breaker_cooldown: float = 30.0,
-                factor_cache: bool = False,
-                cache_budget_mb: int | None = None,
-                catalog_ttl: float = 15.0,
-                ) -> DetectionHTTPServer:
+                **options: Any) -> DetectionHTTPServer:
     """Build (but do not run) a service instance.
 
     The in-process entry point the tests use: bind to ``port=0``, call
     ``serve_forever`` on a thread, and talk to ``server.port``.
-    Instrumentation is enabled globally onto ``registry`` (one is
-    created when omitted) so pushes record spans/counters; the caller
-    owns restoring the previous registry if that matters.
+    ``options`` are :class:`~repro.service.sessions.SessionManager`'s
+    keyword arguments. Instrumentation is enabled globally onto
+    ``registry`` (one is created when omitted) so pushes record
+    spans/counters; the caller owns restoring the previous registry if
+    that matters.
     """
     if registry is None:
         registry = current_registry() or MetricsRegistry()
     enable(registry)
-    manager = SessionManager(
-        max_sessions=max_sessions, max_queue=max_queue,
-        checkpoint_dir=checkpoint_dir, store=store,
-        replica_id=replica_id, lease_ttl=lease_ttl,
-        workers=workers,
-        wal=wal, request_deadline=request_deadline,
-        breaker_threshold=breaker_threshold,
-        breaker_cooldown=breaker_cooldown,
-        factor_cache=factor_cache,
-        cache_budget_mb=cache_budget_mb,
-        catalog_ttl=catalog_ttl,
-    )
+    manager = SessionManager(**options)
     return DetectionHTTPServer((host, port), manager, registry)
 
 
 def run_server(host: str = "127.0.0.1",
                port: int = 8765,
-               max_sessions: int = 64,
-               max_queue: int = 32,
-               checkpoint_dir: str | None = None,
-               store: SessionStore | str | None = None,
-               replica_id: str | None = None,
-               lease_ttl: float | None = None,
-               workers: int = 1,
                install_signal_handlers: bool = True,
-               wal: bool = True,
-               request_deadline: float | None = None,
-               breaker_threshold: int = 3,
-               breaker_cooldown: float = 30.0,
-               factor_cache: bool = False,
-               cache_budget_mb: int | None = None) -> int:
+               **options: Any) -> int:
     """Run the service until SIGTERM/SIGINT, then drain; returns 0.
 
-    The drain sequence on a signal:
+    ``options`` are :class:`~repro.service.sessions.SessionManager`'s
+    keyword arguments. The drain sequence on a signal:
 
     1. the manager stops accepting sessions and pushes (new work gets
        503 + ``Retry-After``; ``/readyz`` flips to 503);
@@ -375,16 +341,7 @@ def run_server(host: str = "127.0.0.1",
     3. every resident session is checkpointed to the checkpoint
        directory, from which a future process resumes it.
     """
-    server = make_server(
-        host=host, port=port, max_sessions=max_sessions,
-        max_queue=max_queue, checkpoint_dir=checkpoint_dir,
-        store=store, replica_id=replica_id, lease_ttl=lease_ttl,
-        workers=workers, wal=wal, request_deadline=request_deadline,
-        breaker_threshold=breaker_threshold,
-        breaker_cooldown=breaker_cooldown,
-        factor_cache=factor_cache,
-        cache_budget_mb=cache_budget_mb,
-    )
+    server = make_server(host=host, port=port, **options)
     manager = server.manager
     server.advertise()
 
@@ -399,13 +356,8 @@ def run_server(host: str = "127.0.0.1",
         signal.signal(signal.SIGTERM, _drain_signal)
         signal.signal(signal.SIGINT, _drain_signal)
 
-    _logger.info(
-        "serving on %s:%d (max_sessions=%d max_queue=%d workers=%d "
-        "store=%s replica=%s leases=%s)", host, server.port,
-        max_sessions, max_queue, workers,
-        manager.store.describe(), manager.replica_id,
-        f"{lease_ttl:g}s" if lease_ttl else "off",
-    )
+    _logger.info("serving on %s:%d (%s)", host, server.port,
+                 manager.describe())
     print(f"serving on http://{host}:{server.port} "
           f"(checkpoints: {manager.checkpoint_dir})", flush=True)
     try:

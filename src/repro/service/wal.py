@@ -20,14 +20,13 @@ last one. The WAL closes that gap:
 The format is torn-write tolerant: a crash can leave at most one
 partial trailing line, which :meth:`SessionWal.read` drops (the push
 it belonged to was never acknowledged, so at-least-once clients resend
-it). Anything else unparseable is surfaced as ``corrupt_lines`` for
-the caller to quarantine.
+it). Anything else unparseable is surfaced as ``corrupt_lines``, and
+adoption quarantines such a log (:mod:`repro.service.durability`).
 
-The log lives either in a plain file (the legacy single-host layout)
-or behind a :class:`~repro.store.SessionStore` key, so shared-store
-deployments append through the same durable-write path as checkpoints.
-Under session leases every appended record is stamped with the
-writer's **fencing token** and every write takes a *guard* (a lease
+The log lives behind a :class:`~repro.store.SessionStore` key, so it
+is appended through the same durable-write path as checkpoints. Under
+session leases every appended record is stamped with the writer's
+**fencing token** and every write takes a *guard* (a lease
 verification run just before the bytes land), so a replica that lost
 its lease cannot extend the new owner's log.
 """
@@ -35,9 +34,7 @@ its lease cannot extend the new owner's log.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any
 
 from ..store import SessionStore, StoreKeyError
@@ -45,6 +42,13 @@ from ..store import SessionStore, StoreKeyError
 #: Format marker on the WAL's header line.
 WAL_FORMAT = "repro-session-wal"
 WAL_VERSION = 1
+
+
+def _header(session_id: str,
+            config_document: dict[str, Any]) -> dict[str, Any]:
+    """The log's first line: format marker, session, configuration."""
+    return {"wal": WAL_FORMAT, "version": WAL_VERSION, "kind": "create",
+            "session": session_id, "config": config_document}
 
 
 @dataclass
@@ -76,42 +80,16 @@ class SessionWal:
     """Append-only JSONL log of one session's accepted snapshots.
 
     Args:
-        path: the ``.wal`` file (legacy direct-file mode); created on
-            the first append. Mutually exclusive with ``store``.
-        fsync: fsync after every append (durability against power
-            loss); disable only in tests that don't care.
-        store: when given, the log lives behind this store's durable
-            append path at ``key`` instead of a local file.
-        key: the store key of the log (required with ``store``).
+        store: the store whose durable append path holds the log.
+        key: the store key of the log; created on the first append.
     """
 
-    def __init__(self, path: str | Path | None = None,
-                 fsync: bool = True, *,
-                 store: SessionStore | None = None,
-                 key: str | None = None):
-        if (path is None) == (store is None):
-            raise ValueError(
-                "SessionWal needs exactly one of path= or store=/key="
-            )
-        if store is not None and not key:
-            raise ValueError("store-backed SessionWal requires key=")
-        self._path = None if path is None else Path(path)
+    def __init__(self, store: SessionStore, key: str):
         self._store = store
         self._key = key
-        self._fsync = bool(fsync)
-
-    @property
-    def path(self) -> Path | None:
-        return self._path
-
-    @property
-    def key(self) -> str | None:
-        return self._key
 
     def exists(self) -> bool:
-        if self._store is not None:
-            return self._store.exists(self._key)
-        return self._path.exists()
+        return self._store.exists(self._key)
 
     # -- writing -------------------------------------------------------------
 
@@ -119,13 +97,8 @@ class SessionWal:
                       config_document: dict[str, Any],
                       guard=None) -> None:
         """Write the header line (once, at session creation)."""
-        self._append_lines([{
-            "wal": WAL_FORMAT,
-            "version": WAL_VERSION,
-            "kind": "create",
-            "session": session_id,
-            "config": config_document,
-        }], guard=guard)
+        self._append_lines([_header(session_id, config_document)],
+                           guard=guard)
 
     def append_snapshots(self, documents: list[dict[str, Any]],
                          start_seq: int,
@@ -168,71 +141,35 @@ class SessionWal:
         state through push ``through_seq`` — replay will skip
         everything at or below the watermark.
         """
-        rewritten = json.dumps({
-            "wal": WAL_FORMAT,
-            "version": WAL_VERSION,
-            "kind": "create",
-            "session": session_id,
-            "config": config_document,
-        }) + "\n"
+        rewritten = json.dumps(_header(session_id, config_document)) + "\n"
         watermark: dict[str, Any] = {
             "kind": "compacted", "through": int(through_seq),
         }
         if token is not None:
             watermark["token"] = int(token)
         rewritten += json.dumps(watermark) + "\n"
-        if self._store is not None:
-            self._store.put(self._key, rewritten.encode(), guard=guard,
-                            token=token)
-            return
-        temp = self._path.with_suffix(".wal.tmp")
-        with open(temp, "w", encoding="utf-8") as handle:
-            handle.write(rewritten)
-            handle.flush()
-            if self._fsync:
-                os.fsync(handle.fileno())
-        if guard is not None:
-            guard()
-        os.replace(temp, self._path)
+        self._store.put(self._key, rewritten.encode(), guard=guard,
+                        token=token)
 
     def delete(self) -> None:
-        if self._store is not None:
-            self._store.delete(self._key)
-            return
-        self._path.unlink(missing_ok=True)
-        self._path.with_suffix(".wal.tmp").unlink(missing_ok=True)
+        self._store.delete(self._key)
 
     def _append_lines(self, documents: list[dict[str, Any]],
                       guard=None) -> None:
         data = "".join(
             json.dumps(document) + "\n" for document in documents
         )
-        if self._store is not None:
-            self._store.append(self._key, data.encode(), guard=guard)
-            return
-        with open(self._path, "a", encoding="utf-8") as handle:
-            if guard is not None:
-                guard()
-            handle.write(data)
-            handle.flush()
-            if self._fsync:
-                os.fsync(handle.fileno())
+        self._store.append(self._key, data.encode(), guard=guard)
 
     # -- reading -------------------------------------------------------------
 
     def read(self) -> WalContents:
         """Decode the log, tolerating a torn trailing line."""
         contents = WalContents()
-        if self._store is not None:
-            try:
-                raw = self._store.get(self._key)
-            except StoreKeyError:
-                return contents
-        else:
-            try:
-                raw = self._path.read_bytes()
-            except OSError:
-                return contents
+        try:
+            raw = self._store.get(self._key)
+        except StoreKeyError:
+            return contents
         lines = raw.split(b"\n")
         # A complete log ends with a newline, leaving a final empty
         # chunk; anything non-empty there is a torn trailing write.

@@ -21,7 +21,6 @@ from .base import (
     StoreError,
     StoreKeyError,
     StoreUnavailableError,
-    atomic_write_bytes,
     atomic_writer,
 )
 from .catalog import ReplicaCatalog, ReplicaRecord, replica_key
@@ -73,7 +72,6 @@ __all__ = [
     "StoreError",
     "StoreKeyError",
     "StoreUnavailableError",
-    "atomic_write_bytes",
     "atomic_writer",
     "lease_key",
     "replica_key",

@@ -129,13 +129,6 @@ def atomic_writer(path: str | Path, fsync: bool = True):
         temp.unlink(missing_ok=True)
 
 
-def atomic_write_bytes(path: str | Path, data: bytes,
-                       fsync: bool = True) -> None:
-    """Atomically replace ``path`` with ``data`` (temp + fsync + rename)."""
-    with atomic_writer(path, fsync=fsync) as temp:
-        temp.write_bytes(data)
-
-
 class SessionStore(ABC):
     """Abstract durable store for session state.
 
@@ -265,27 +258,14 @@ class SessionStore(ABC):
 
     # -- conveniences --------------------------------------------------------
 
-    def put_path(self, key: str, source: str | Path,
-                 guard=None, token: int | None = None) -> None:
-        """Upload a local file's bytes under ``key``."""
-        self.put(key, Path(source).read_bytes(), guard=guard,
-                 token=token)
-
-    def get_to_path(self, key: str, destination: str | Path) -> Path:
-        """Materialise an object into a local file and return its path."""
-        destination = Path(destination)
-        destination.parent.mkdir(parents=True, exist_ok=True)
-        destination.write_bytes(self.get(key))
-        return destination
-
     @contextmanager
     def local_copy(self, key: str, suffix: str = ""):
         """Yield a temporary local file holding the object's bytes
         (for path-based readers like ``np.load``)."""
         with tempfile.TemporaryDirectory(prefix="repro-store-") as temp:
-            yield self.get_to_path(
-                key, Path(temp) / (f"object{suffix}" or "object")
-            )
+            path = Path(temp) / f"object{suffix}"
+            path.write_bytes(self.get(key))
+            yield path
 
     def describe(self) -> str:
         """``scheme:location`` string for logs and banners."""

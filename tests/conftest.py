@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,26 @@ from repro.graphs import (
     perturb_weights,
     random_sparse_graph,
 )
+
+
+#: Background threads of a session manager; whoever starts one stops
+#: it (``drain()`` or ``abandon()``), or it keeps renewing leases
+#: through its store for the rest of the session.
+MANAGER_THREADS = ("lease-heartbeat", "replica-catalog")
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_manager_threads():
+    """Fail a test that leaves a session manager's thread running."""
+    before = set(threading.enumerate())
+    yield
+    leaked = sorted(
+        thread.name for thread in threading.enumerate()
+        if thread not in before and thread.name in MANAGER_THREADS
+    )
+    if leaked:
+        pytest.fail(f"test left session-manager threads running: "
+                    f"{leaked}")
 
 
 @pytest.fixture

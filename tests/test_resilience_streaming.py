@@ -1,5 +1,8 @@
 """Tests for streaming quarantine-and-skip and checkpoint/recovery."""
 
+import shutil
+import zipfile
+
 import numpy as np
 import pytest
 
@@ -15,6 +18,7 @@ from repro.resilience import (
     FallbackPolicy,
     FaultInjector,
     corrupt_adjacency,
+    flip_bytes,
     read_checkpoint,
     write_checkpoint,
 )
@@ -239,6 +243,38 @@ class TestCheckpointFiles:
         np.savez_compressed(path, values=np.arange(3))
         with pytest.raises(CheckpointError, match="not a"):
             read_checkpoint(path)
+
+    def test_bit_flipped_archive_raises_checkpoint_error(self, tmp_path):
+        # Flips land in zip records, zlib streams and .npy headers
+        # alike; each must surface as the documented CheckpointError.
+        snapshots = [random_sparse_graph(20, mean_degree=4.0, seed=s,
+                                         connected=True)
+                     for s in range(3)]
+        source = tmp_path / "stream.npz"
+        _run(snapshots).checkpoint(source)
+        escaped = []
+        for seed in range(40):
+            path = tmp_path / f"flipped-{seed}.npz"
+            shutil.copyfile(source, path)
+            flip_bytes(path, count=32, seed=seed)
+            try:
+                StreamingCadDetector.restore(path, method="exact")
+            except CheckpointError:
+                pass
+            except Exception as error:
+                escaped.append((seed, type(error).__name__))
+        assert escaped == []
+        # An unclosed header dict makes numpy's tokenizer give up.
+        path = tmp_path / "open-header.npz"
+        with zipfile.ZipFile(source) as intact, \
+                zipfile.ZipFile(path, "w") as broken:
+            for name in intact.namelist():
+                data = intact.read(name)
+                if name == "meta_json.npy":
+                    data = data.replace(b"), }", b"),  ", 1)
+                broken.writestr(name, data)
+        with pytest.raises(CheckpointError):
+            StreamingCadDetector.restore(path, method="exact")
 
     def test_format_marker_validation(self):
         with pytest.raises(CheckpointError):

@@ -9,6 +9,7 @@ identical to an undisturbed run, while A's late writes are fenced.
 
 from __future__ import annotations
 
+import threading
 import time
 
 import numpy as np
@@ -20,7 +21,7 @@ from repro.resilience.checkpoint import FORMAT as CHECKPOINT_FORMAT
 from repro.resilience.checkpoint import VERSION as CHECKPOINT_VERSION
 from repro.service import NotOwnerError, SessionManager
 from repro.service.wal import SessionWal
-from repro.store import SharedStore, StoreUnavailableError
+from repro.store import LocalDirStore, SharedStore, StoreUnavailableError
 
 from .test_service_sessions import entries, random_payloads
 
@@ -43,6 +44,19 @@ def registry():
     disable()
 
 
+#: Every manager :func:`replica` built during the running test.
+_REPLICAS: list[SessionManager] = []
+
+
+@pytest.fixture(autouse=True)
+def stop_replicas():
+    """Stop every replica a test built, so no lease heartbeat outlives
+    the test (a leaked one keeps renewing through its store)."""
+    yield
+    while _REPLICAS:
+        _REPLICAS.pop().abandon()
+
+
 def baseline(tmp_path, payloads):
     """Entries of an undisturbed single-replica run."""
     manager = SessionManager(checkpoint_dir=tmp_path / "baseline")
@@ -57,8 +71,10 @@ def replica(tmp_path, name: str, ttl: float = TTL,
     store = kwargs.pop("store", None) or SharedStore(
         tmp_path / "shared", fsync=False
     )
-    return SessionManager(store=store, replica_id=name, lease_ttl=ttl,
-                          **kwargs)
+    manager = SessionManager(store=store, replica_id=name,
+                             lease_ttl=ttl, **kwargs)
+    _REPLICAS.append(manager)
+    return manager
 
 
 class TestFailover:
@@ -159,6 +175,45 @@ class TestOwnership:
         assert entries(revived.report(sid)) == expected
 
 
+class TestConcurrentAdoption:
+    def test_concurrent_discovery_takes_the_lease_once(
+            self, tmp_path, payloads, registry):
+        """Two requests racing to adopt one session must not both
+        acquire its lease: the second acquisition would bump the token
+        and fence the first request's record on its next write."""
+        chaos = ChaosStore(SharedStore(tmp_path / "shared",
+                                       fsync=False))
+        b = replica(tmp_path, "replica-b", store=chaos)
+        a = replica(tmp_path, "replica-a")
+        sid = a.create_session(CONFIG)["session"]
+        for payload in payloads[:4]:
+            a.push(sid, payload)
+        a.drain()
+        # Slow lease writes hold both requests inside adoption at once.
+        chaos.write_latency = 0.2
+        acquired = registry.counter_value("service_lease_acquires_total")
+        barrier = threading.Barrier(2, timeout=10.0)
+        sessions = []
+
+        def discover():
+            barrier.wait()
+            sessions.append(b.session_info(sid)["session"])
+
+        threads = [threading.Thread(target=discover) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30.0)
+            assert not thread.is_alive()
+        assert sessions == [sid, sid]
+        assert registry.counter_value(
+            "service_lease_acquires_total") == acquired + 1
+        chaos.write_latency = 0.0
+        b.push(sid, payloads[4])
+        assert registry.counter_value(
+            "service_fenced_writes_total") == 0
+
+
 class TestSlowStoreHeartbeat:
     def test_slow_lease_writes_do_not_fence_owner(self, tmp_path,
                                                   payloads, registry):
@@ -214,8 +269,7 @@ class TestStoreFaults:
 
         store = Flaky(SharedStore(tmp_path / "shared", fsync=False),
                       failures=2)
-        manager = SessionManager(store=store, replica_id="replica-a",
-                                 lease_ttl=TTL)
+        manager = replica(tmp_path, "replica-a", store=store)
         sid = manager.create_session(CONFIG)["session"]
         manager.push(sid, payloads[0])  # append retried, then lands
         assert registry.counter_value("store_write_retries_total") >= 2
@@ -229,8 +283,7 @@ class TestStoreFaults:
                                                        payloads):
         chaos = ChaosStore(SharedStore(tmp_path / "shared",
                                        fsync=False))
-        manager = SessionManager(store=chaos, replica_id="replica-a",
-                                 lease_ttl=TTL)
+        manager = replica(tmp_path, "replica-a", store=chaos)
         sid = manager.create_session(CONFIG)["session"]
         chaos.partition("")  # deny every write
         with pytest.raises(StoreUnavailableError):
@@ -279,7 +332,7 @@ class TestAtomicSidecars:
         # Tear the sidecar mid-file (what a non-atomic writer would
         # leave after a crash) and hand the WAL the full history.
         truncate_tail(root / f"{sid}.json", 32)
-        wal = SessionWal(root / f"{sid}.wal")
+        wal = SessionWal(LocalDirStore(root), f"{sid}.wal")
         wal.delete()
         wal.append_create(sid, CONFIG)
         wal.append_snapshots(payloads[:5], start_seq=0)

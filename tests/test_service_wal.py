@@ -15,6 +15,7 @@ import pytest
 
 from repro.resilience.chaos import flip_bytes, truncate_tail
 from repro.service import SessionManager, SessionWal
+from repro.store import LocalDirStore
 
 from .test_service_sessions import entries, random_payloads
 
@@ -26,7 +27,7 @@ def payloads():
 
 class TestWalFormat:
     def test_roundtrip(self, tmp_path, payloads):
-        wal = SessionWal(tmp_path / "abc.wal")
+        wal = SessionWal(LocalDirStore(tmp_path), "abc.wal")
         wal.append_create("abc", {"seed": 3})
         last = wal.append_snapshots(payloads[:3], start_seq=0)
         assert last == 3
@@ -41,7 +42,7 @@ class TestWalFormat:
         assert contents.corrupt_lines == 0
 
     def test_degraded_flag_roundtrips(self, tmp_path, payloads):
-        wal = SessionWal(tmp_path / "abc.wal")
+        wal = SessionWal(LocalDirStore(tmp_path), "abc.wal")
         wal.append_create("abc", {})
         wal.append_snapshots(payloads[:1], start_seq=0)
         wal.append_snapshots(payloads[1:2], start_seq=1, degraded=True)
@@ -49,29 +50,31 @@ class TestWalFormat:
         assert flags == [False, True]
 
     def test_torn_tail_is_dropped_not_fatal(self, tmp_path, payloads):
-        wal = SessionWal(tmp_path / "abc.wal")
+        wal = SessionWal(LocalDirStore(tmp_path), "abc.wal")
         wal.append_create("abc", {})
         wal.append_snapshots(payloads[:3], start_seq=0)
-        truncate_tail(wal.path, 10)  # tear the last line mid-record
+        # Tear the last line mid-record.
+        truncate_tail(tmp_path / "abc.wal", 10)
         contents = wal.read()
         assert contents.valid
         assert contents.truncated
         assert [seq for seq, _, _ in contents.entries] == [1, 2]
 
     def test_corrupt_middle_line_counted(self, tmp_path, payloads):
-        wal = SessionWal(tmp_path / "abc.wal")
+        wal = SessionWal(LocalDirStore(tmp_path), "abc.wal")
         wal.append_create("abc", {})
         wal.append_snapshots(payloads[:2], start_seq=0)
-        lines = wal.path.read_bytes().split(b"\n")
+        path = tmp_path / "abc.wal"
+        lines = path.read_bytes().split(b"\n")
         lines[1] = b"{garbage"
-        wal.path.write_bytes(b"\n".join(lines))
+        path.write_bytes(b"\n".join(lines))
         contents = wal.read()
         assert contents.valid
         assert contents.corrupt_lines == 1
         assert [seq for seq, _, _ in contents.entries] == [2]
 
     def test_compaction_filters_entries(self, tmp_path, payloads):
-        wal = SessionWal(tmp_path / "abc.wal")
+        wal = SessionWal(LocalDirStore(tmp_path), "abc.wal")
         wal.append_create("abc", {"seed": 1})
         wal.append_snapshots(payloads[:4], start_seq=0)
         wal.compact("abc", {"seed": 1}, through_seq=4)
@@ -81,7 +84,7 @@ class TestWalFormat:
         assert [seq for seq, _, _ in contents.entries] == [5, 6]
 
     def test_missing_file_reads_empty(self, tmp_path):
-        contents = SessionWal(tmp_path / "nothing.wal").read()
+        contents = SessionWal(LocalDirStore(tmp_path), "nothing.wal").read()
         assert not contents.valid
         assert contents.entries == []
 
@@ -143,7 +146,7 @@ class TestHardKillReplay:
         sid = manager.create_session({"seed": 3})["session"]
         for payload in payloads[:5]:
             manager.push(sid, payload)
-        wal = SessionWal(tmp_path / f"{sid}.wal")
+        wal = SessionWal(LocalDirStore(tmp_path), f"{sid}.wal")
         contents = wal.read()
         assert contents.compacted_through >= 3
         assert (tmp_path / f"{sid}.npz").exists()
@@ -174,6 +177,16 @@ class TestQuarantine:
         manager.drain()
         return sid
 
+    @staticmethod
+    def crashed_session(tmp_path, payloads):
+        """Five pushes, then a hard kill: the WAL is all that is left."""
+        manager = SessionManager(checkpoint_dir=tmp_path)
+        sid = manager.create_session({"seed": 3})["session"]
+        for payload in payloads[:5]:
+            manager.push(sid, payload)
+        manager.abandon()
+        return sid, tmp_path / f"{sid}.wal"
+
     def test_truncated_npz_is_quarantined_not_fatal(self, tmp_path,
                                                     payloads):
         sid = self.checkpointed_session(tmp_path, payloads)
@@ -202,6 +215,36 @@ class TestQuarantine:
                        (tmp_path / "quarantine").iterdir()}
         assert f"{sid}.json" in quarantined
 
+    @pytest.mark.parametrize("damage", ["garble", "drop"])
+    def test_wal_that_lost_an_entry_is_quarantined(self, tmp_path,
+                                                   payloads, damage):
+        sid, path = self.crashed_session(tmp_path, payloads)
+        lines = path.read_bytes().split(b"\n")
+        # Line 0 is the header, so line 3 is the entry of seq 3.
+        if damage == "garble":
+            lines[3] = b"{garbage"
+        else:
+            del lines[3]
+        path.write_bytes(b"\n".join(lines))
+        revived = SessionManager(checkpoint_dir=tmp_path)
+        assert revived.list_sessions()["sessions"] == []
+        assert (tmp_path / "quarantine" / f"{sid}.wal").exists()
+
+    def test_duplicate_entry_and_torn_tail_still_replay(self, tmp_path,
+                                                        payloads):
+        reference = SessionManager(checkpoint_dir=tmp_path / "ref")
+        sid_ref = reference.create_session({"seed": 3})["session"]
+        for payload in payloads[:5]:
+            reference.push(sid_ref, payload)
+        expected = entries(reference.report(sid_ref))
+        sid, path = self.crashed_session(tmp_path / "crash", payloads)
+        lines = path.read_bytes().split(b"\n")
+        # A retried append that half-landed, then a kill mid-append.
+        lines.insert(3, lines[3])
+        path.write_bytes(b"\n".join(lines) + b'{"kind": "snap')
+        revived = SessionManager(checkpoint_dir=tmp_path / "crash")
+        assert entries(revived.report(sid)) == expected
+
     def test_foreign_json_left_alone(self, tmp_path):
         foreign = tmp_path / "notes.json"
         foreign.write_text(json.dumps({"format": "something-else"}))
@@ -217,7 +260,7 @@ class TestQuarantine:
         # Corrupt the checkpoint, then hand the WAL the full history
         # (as if compaction never happened before the crash).
         truncate_tail(tmp_path / f"{sid}.npz", 64)
-        wal = SessionWal(tmp_path / f"{sid}.wal")
+        wal = SessionWal(LocalDirStore(tmp_path), f"{sid}.wal")
         wal.delete()
         wal.append_create(sid, {"seed": 3})
         wal.append_snapshots(payloads[:5], start_seq=0)
@@ -233,7 +276,7 @@ class TestQuarantine:
 
     def test_orphan_wal_with_watermark_but_no_npz_quarantined(
             self, tmp_path, payloads):
-        wal = SessionWal(tmp_path / "cafe.wal")
+        wal = SessionWal(LocalDirStore(tmp_path), "cafe.wal")
         wal.append_create("cafe", {"seed": 3})
         wal.append_snapshots(payloads[:2], start_seq=0)
         wal.compact("cafe", {"seed": 3}, through_seq=2)
