@@ -9,12 +9,13 @@ Three layers, each thin:
 * :class:`SocketShardTransport` — the
   :class:`~repro.parallel.transport.ShardTransport` that adopts
   registered workers: ``open_channel`` pops one from the ready pool,
-  ships the run's ``CONFIGURE`` frame (calculator spec + the full CSR
-  snapshot sequence), and wraps the connection in a
-  :class:`RemoteWorkerChannel` speaking the supervisor's message
-  tuples. Every run carries a fresh ``run`` token and channels drop
-  frames from other runs, so a shard result from a released worker
-  can never contaminate a later run.
+  ships the run's ``CONFIGURE`` frame (the run's
+  :class:`~repro.parallel.worker.WorkerConfig` — calculator spec plus
+  run flags — and the full CSR snapshot sequence), and wraps the
+  connection in a :class:`RemoteWorkerChannel` speaking the
+  supervisor's message tuples. Every run carries a fresh ``run`` token
+  and channels drop frames from other runs, so a shard result from a
+  released worker can never contaminate a later run.
 * :class:`ClusterEngine` — :class:`~repro.parallel.ParallelCadDetector`
   with the two transport hooks overridden. Everything else — shard
   planning, the supervised retry/requeue/deadline loop, deterministic
@@ -27,6 +28,7 @@ Three layers, each thin:
 
 from __future__ import annotations
 
+import dataclasses
 import secrets
 import socket
 import threading
@@ -442,18 +444,12 @@ class SocketShardTransport(ShardTransport):
                  heartbeat_interval: float | None):
         self.coordinator = coordinator
         self.run_token = secrets.token_hex(8)
+        # Every WorkerConfig field but the shared-memory sequence,
+        # which the CSR arrays in "graph" replace.
         spec = {
-            "method": config.method,
-            "k": config.k,
-            "root_entropy": config.root_entropy,
-            "solver": config.solver,
-            "tol": config.tol,
-            "skip_unscorable": config.skip_unscorable,
-            "collect_metrics": config.collect_metrics,
-            "chaos": config.chaos,
-            "factor_cache": config.factor_cache,
-            "cache_budget_mb": config.cache_budget_mb,
-            "delta_budget": config.delta_budget,
+            field.name: getattr(config, field.name)
+            for field in dataclasses.fields(config)
+            if field.name != "sequence"
         }
         # One encode for the whole run: every adopted worker gets the
         # same CONFIGURE frame.

@@ -40,7 +40,6 @@ from typing import Any
 import numpy as np
 import scipy.sparse as sp
 
-from ..core.commute import CommuteTimeCalculator
 from ..graphs.snapshot import GraphSnapshot, NodeUniverse
 from ..observability import (
     MetricsRegistry,
@@ -54,6 +53,7 @@ from ..parallel.sharding import ComponentShard
 from ..parallel.transport import encode_error
 from ..parallel.worker import (
     WorkerConfig,
+    install_state,
     score_component_shard,
     score_transition_chunk,
     set_task_attempt,
@@ -164,12 +164,16 @@ def graph_to_wire(graph) -> dict[str, Any]:
 def _configure_state(document: dict[str, Any]) -> None:
     """Populate :data:`repro.parallel.worker._STATE` for this run.
 
-    Mirrors :func:`repro.parallel.worker.init_worker`, with the
-    shared-memory attachment replaced by the wire-shipped snapshots.
+    The ``CONFIGURE`` document's ``spec`` holds every
+    :class:`~repro.parallel.worker.WorkerConfig` field but the
+    shared-memory ``sequence``; the wire-shipped snapshots take its
+    place, and :func:`~repro.parallel.worker.install_state` builds the
+    same state a pool worker's
+    :func:`~repro.parallel.worker.init_worker` does.
     """
-    spec = document["spec"]
+    config = WorkerConfig(sequence=None, **document["spec"])
     registry = None
-    if spec.get("collect_metrics") and current_registry() is None:
+    if config.collect_metrics and current_registry() is None:
         # A dedicated worker process: collect into a worker-local
         # registry whose snapshot rides back on each result for the
         # coordinator to merge. When a registry is already active we
@@ -182,40 +186,8 @@ def _configure_state(document: dict[str, Any]) -> None:
         registry = MetricsRegistry()
         enable(registry)
     with trace("cluster.worker.configure", pid=os.getpid()):
-        snapshots = snapshots_from_wire(document["graph"])
-        config = WorkerConfig(
-            sequence=None,
-            method=spec["method"],
-            k=spec["k"],
-            root_entropy=spec["root_entropy"],
-            solver=spec["solver"],
-            tol=spec["tol"],
-            skip_unscorable=spec.get("skip_unscorable", False),
-            collect_metrics=bool(spec.get("collect_metrics")),
-            chaos=spec.get("chaos"),
-            factor_cache=spec.get("factor_cache"),
-            cache_budget_mb=spec.get("cache_budget_mb"),
-            delta_budget=spec.get("delta_budget"),
-        )
-        extra = {}
-        if config.delta_budget is not None:
-            extra["delta_budget"] = config.delta_budget
-        calculator = CommuteTimeCalculator(
-            method=config.method, k=config.k,
-            seed=config.root_entropy, solver=config.solver,
-            tol=config.tol, seed_mode="content",
-            factor_cache=config.factor_cache,
-            cache_budget_mb=config.cache_budget_mb,
-            **extra,
-        )
-    parallel_worker._STATE.clear()
-    parallel_worker._STATE.update(
-        config=config,
-        attached=None,
-        snapshots=snapshots,
-        calculator=calculator,
-        registry=registry,
-    )
+        install_state(config, snapshots_from_wire(document["graph"]),
+                      registry)
 
 
 def _execute_task(task: dict[str, Any]) -> dict[str, Any]:

@@ -20,7 +20,7 @@ import numpy as np
 from ..exceptions import DetectionError
 from ..graphs.dynamic import DynamicGraph
 from ..graphs.snapshot import GraphSnapshot
-from .commute import DEFAULT_EXACT_LIMIT, CommuteTimeCalculator
+from .commute import CommuteTimeCalculator
 from .detector import Detector
 from .results import DetectionReport, TransitionResult, TransitionScores
 from .scores import cad_edge_scores
@@ -31,53 +31,20 @@ class CadDetector(Detector):
     """Commute-time based Anomaly Detection in dynamic graphs.
 
     Args:
-        method: commute-time backend — ``"exact"`` (dense
-            pseudoinverse), ``"approx"`` (JL embedding) or ``"auto"``
-            (exact up to ``exact_limit`` nodes). The paper uses exact
-            computation on Enron (n=151) and the embedding elsewhere.
-        k: embedding dimension for the approximate backend (paper
-            default 50; any k > 10 behaves equivalently, Figure 5).
-        seed: randomness for the embedding's JL projection.
-        solver: Laplacian solver backend — ``"cg"``, ``"direct"``,
-            ``"fallback"`` (escalation chain, see
-            :mod:`repro.resilience.fallback`), or a
-            :class:`~repro.resilience.fallback.FallbackPolicy`.
-        exact_limit: node-count crossover for ``method="auto"``.
-        seed_mode: randomness derivation for the approximate backend —
-            ``"stream"`` (default) or ``"content"`` (scoring-order and
-            process independent; see
-            :class:`~repro.core.commute.CommuteTimeCalculator`).
-        factor_cache: cross-snapshot solve cache — ``None`` (off,
-            default), ``True``/``"shared"``, ``"private"``, or a
-            :class:`~repro.linalg.factorcache.FactorCache` (see
-            :mod:`repro.linalg.factorcache`).
-        cache_budget_mb: factor-cache byte budget.
-        delta_budget: maximum edge-delta absorbed by rank-one factor
-            updates before a fresh factorization (default 64 with a
-            factor cache, 0 without; 0 = identity reuse only,
-            bit-for-bit).
+        **options: the commute-time backend's configuration, forwarded
+            unchanged to :class:`~repro.core.commute.CommuteTimeCalculator`
+            (whose docstring documents each one): ``method``
+            (``"exact"``, ``"approx"`` or ``"auto"``), ``k``, ``seed``,
+            ``solver``, ``exact_limit``, ``tol``, ``seed_mode``,
+            ``factor_cache``, ``cache_budget_mb`` and
+            ``delta_budget``. The paper uses exact computation on
+            Enron (n=151) and the k = 50 embedding elsewhere.
     """
 
     name = "CAD"
 
-    def __init__(self, method: str = "auto",
-                 k: int = 50,
-                 seed=None,
-                 solver="cg",
-                 exact_limit: int = DEFAULT_EXACT_LIMIT,
-                 seed_mode: str = "stream",
-                 factor_cache=None,
-                 cache_budget_mb: float | None = None,
-                 delta_budget: int | None = None):
-        extra = {}
-        if delta_budget is not None:
-            extra["delta_budget"] = delta_budget
-        self._calculator = CommuteTimeCalculator(
-            method=method, k=k, seed=seed, solver=solver,
-            exact_limit=exact_limit, seed_mode=seed_mode,
-            factor_cache=factor_cache, cache_budget_mb=cache_budget_mb,
-            **extra,
-        )
+    def __init__(self, **options):
+        self._calculator = CommuteTimeCalculator(**options)
 
     @property
     def calculator(self) -> CommuteTimeCalculator:

@@ -1,8 +1,7 @@
 """The parallel CAD execution engine.
 
-:class:`ParallelCadDetector` is a drop-in stand-in for
-:class:`~repro.core.cad.CadDetector` that scores a sequence with a
-process pool instead of a loop:
+:class:`ParallelCadDetector` is a :class:`~repro.core.cad.CadDetector`
+that scores a sequence with a process pool instead of a loop:
 
 1. the parent publishes every snapshot to shared memory once
    (:mod:`repro.parallel.shm`);
@@ -16,10 +15,14 @@ process pool instead of a loop:
 
 Determinism contract (tested in ``tests/test_parallel_determinism.py``):
 transition sharding reproduces a serial run *bit for bit* for any
-worker count; component sharding is deterministic and numerically
-equivalent (per-component pseudoinverses round differently from one
-full factorisation) and is therefore only chosen by ``"auto"`` when it
-provably saves cubic work.
+worker count with the delta tier off (``delta_budget=0``, the default
+without a factor cache); with it on, each ``L^+`` advances from the
+previous snapshot's, so scores depend on where chunks start and agree
+with serial only within the tier's tolerance. Component sharding is
+deterministic and numerically equivalent (per-component
+pseudoinverses round differently from one full factorisation) and is
+therefore only chosen by ``"auto"`` when it provably saves cubic
+work.
 
 Execution is *self-healing*: tasks run on a
 :class:`~repro.parallel.supervisor.SupervisedPool` that detects worker
@@ -39,15 +42,11 @@ from typing import Any
 
 import numpy as np
 
-from ..core.cad import build_report
-from ..core.commute import DEFAULT_EXACT_LIMIT, CommuteTimeCalculator
-from ..core.detector import Detector
+from ..core.cad import CadDetector, build_report
 from ..core.results import DetectionReport, TransitionScores
-from ..core.scores import cad_edge_scores
 from ..core.thresholds import select_global_threshold
 from ..exceptions import DetectionError, ParallelExecutionError
 from ..graphs.dynamic import DynamicGraph
-from ..graphs.snapshot import GraphSnapshot
 from ..observability import current_registry, enabled, set_gauge, trace
 from ..resilience.chaos import ChaosSpec
 from ..resilience.health import HealthReport
@@ -88,7 +87,7 @@ def default_worker_count() -> int:
     return max(os.cpu_count() or 1, 1)
 
 
-class ParallelCadDetector(Detector):
+class ParallelCadDetector(CadDetector):
     """CAD over a process pool, reproducing serial results.
 
     Args:
@@ -125,19 +124,19 @@ class ParallelCadDetector(Detector):
         chaos: optional :class:`~repro.resilience.chaos.ChaosSpec`
             injecting deterministic process faults into workers (test
             and chaos-drill hook).
-        method, k, seed, solver, exact_limit, tol: commute-time backend
-            configuration, as in :class:`~repro.core.cad.CadDetector`.
-            Randomness always runs in ``seed_mode="content"`` so worker
-            scheduling cannot influence scores.
-        factor_cache, cache_budget_mb, delta_budget: factorization
-            reuse (:mod:`repro.linalg.factorcache`). Each pool worker
-            gets its own process-local cache (``"shared"`` is shared
-            *within* a worker process across its chunks); cache hit
-            counters merge back into the parent's metrics registry
-            with the rest of the worker metrics.
+        **options: commute-time backend configuration, as in
+            :class:`~repro.core.cad.CadDetector`, except ``seed_mode``:
+            randomness always runs in ``seed_mode="content"`` so worker
+            scheduling cannot influence scores. Every worker rebuilds
+            the parent's calculator from its
+            :meth:`~repro.core.commute.CommuteTimeCalculator.spec`.
+            With a factor cache (:mod:`repro.linalg.factorcache`) each
+            pool worker gets its own process-local cache
+            (``"shared"`` is shared *within* a worker process across
+            its chunks); cache hit counters merge back into the
+            parent's metrics registry with the rest of the worker
+            metrics.
     """
-
-    name = "CAD"
 
     def __init__(self, workers: int | None = None,
                  shard_by: str = "auto",
@@ -152,16 +151,7 @@ class ParallelCadDetector(Detector):
                  DEFAULT_HEARTBEAT_INTERVAL,
                  heartbeat_timeout: float = DEFAULT_HEARTBEAT_TIMEOUT,
                  chaos: ChaosSpec | None = None,
-                 method: str = "auto",
-                 k: int = 50,
-                 seed=None,
-                 solver="cg",
-                 exact_limit: int = DEFAULT_EXACT_LIMIT,
-                 tol: float = 1e-8,
-                 factor_cache=None,
-                 cache_budget_mb: float | None = None,
-                 delta_budget: int | None = None,
-                 _crash_transitions: tuple[int, ...] = ()):
+                 **options):
         if workers is not None and workers < 1:
             raise ParallelExecutionError(
                 f"workers must be >= 1, got {workers}"
@@ -180,23 +170,8 @@ class ParallelCadDetector(Detector):
         self._shard_deadline = shard_deadline
         self._heartbeat_interval = heartbeat_interval
         self._heartbeat_timeout = float(heartbeat_timeout)
-        if chaos is None and _crash_transitions:
-            # Legacy hook: a listed transition always kills its worker,
-            # on every retry — the escalation scenario.
-            chaos = ChaosSpec(
-                kill_transitions=tuple(_crash_transitions),
-                attempts=None,
-            )
         self._chaos = chaos
-        extra = {}
-        if delta_budget is not None:
-            extra["delta_budget"] = delta_budget
-        self._calculator = CommuteTimeCalculator(
-            method=method, k=k, seed=seed, solver=solver,
-            exact_limit=exact_limit, tol=tol, seed_mode="content",
-            factor_cache=factor_cache, cache_budget_mb=cache_budget_mb,
-            **extra,
-        )
+        super().__init__(seed_mode="content", **options)
         #: Per-worker health reports of the last run, keyed by worker id
         #: (process id, or ``ckpt:``-prefixed for restored state).
         self.last_worker_health: dict[str, HealthReport] = {}
@@ -225,23 +200,9 @@ class ParallelCadDetector(Detector):
         return cls(workers=workers, shard_by=shard_by, **spec, **options)
 
     @property
-    def calculator(self) -> CommuteTimeCalculator:
-        """The parent-side commute-time backend (serial odd jobs)."""
-        return self._calculator
-
-    @property
     def workers(self) -> int:
         """The configured pool size."""
         return self._workers or default_worker_count()
-
-    def score_transition(self, g_t: GraphSnapshot,
-                         g_t1: GraphSnapshot) -> TransitionScores:
-        """Raw ΔE/ΔN scores for one transition, computed in-process.
-
-        A single transition has no parallelism to exploit, so this is
-        exactly the serial path on the parent's calculator.
-        """
-        return cad_edge_scores(g_t, g_t1, self._calculator)
 
     def score_sequence(self, graph: DynamicGraph) -> list[TransitionScores]:
         """Score every transition using the process pool."""
@@ -364,17 +325,10 @@ class ParallelCadDetector(Detector):
             sequence_spec, sequence_cleanup = \
                 self._publish_sequence(graph)
             try:
-                spec = self._calculator.spec()
                 config = WorkerConfig(
                     sequence=sequence_spec,
-                    method=resolved_method,
-                    k=self._calculator.k,
-                    root_entropy=self._calculator.root_entropy(),
-                    solver=spec["solver"],
-                    tol=spec["tol"],
-                    factor_cache=spec["factor_cache"],
-                    cache_budget_mb=spec["cache_budget_mb"],
-                    delta_budget=spec["delta_budget"],
+                    calculator={**self._calculator.spec(),
+                                "method": resolved_method},
                     skip_unscorable=self._skip_unscorable,
                     unregister_shm=(
                         multiprocessing.get_start_method() != "fork"

@@ -3,12 +3,13 @@
 Each pool worker is initialised once with a :class:`WorkerConfig`: it
 attaches to the shared-memory snapshot store, rebuilds zero-copy
 snapshots, and builds a worker-local
-:class:`~repro.core.commute.CommuteTimeCalculator`. Two deliberate
-choices keep worker output independent of scheduling:
+:class:`~repro.core.commute.CommuteTimeCalculator` from the parent
+calculator's :meth:`~repro.core.commute.CommuteTimeCalculator.spec`.
+Two deliberate choices keep worker output independent of scheduling:
 
-* the calculator always runs ``seed_mode="content"`` with the parent's
-  root entropy, so a snapshot's JL projection depends only on the
-  snapshot, never on which worker scores it or in what order;
+* the calculator runs the parent's ``seed_mode="content"`` with the
+  parent's root entropy, so a snapshot's JL projection depends only on
+  the snapshot, never on which worker scores it or in what order;
 * the commute-time method is resolved in the *parent* from the full
   node count and forced here — a 500-node component of a 5000-node
   graph must not silently switch from the approximate to the exact
@@ -49,16 +50,16 @@ class WorkerConfig:
     """Everything a worker needs, shipped once at pool start.
 
     Attributes:
-        sequence: shared-memory attachment spec for the snapshots.
-        method: *resolved* commute-time method (``"exact"`` or
-            ``"approx"`` — never ``"auto"``).
-        k: embedding dimension for the approximate backend.
-        root_entropy: run-level entropy anchoring content-keyed
-            randomness (see
-            :meth:`~repro.core.commute.CommuteTimeCalculator.root_entropy`).
-        solver: Laplacian solver backend (string or a picklable
-            :class:`~repro.resilience.fallback.FallbackPolicy`).
-        tol: solver tolerance for the embedding path.
+        sequence: shared-memory attachment spec for the snapshots
+            (``None`` on cluster workers, which receive the snapshots
+            over the wire instead).
+        calculator: the parent calculator's
+            :meth:`~repro.core.commute.CommuteTimeCalculator.spec`
+            with ``method`` *resolved* (``"exact"`` or ``"approx"`` —
+            never ``"auto"``); every worker builds
+            ``CommuteTimeCalculator(**calculator)``. A ``"shared"``
+            factor cache there is the *worker process's* singleton, so
+            a worker reuses factorizations across all chunks it scores.
         skip_unscorable: degrade instead of raising when a transition's
             scoring fails — the failed transition gets zero scores and a
             quarantine record, mirroring the streaming detector's
@@ -75,28 +76,14 @@ class WorkerConfig:
             arming deterministic process faults (kill/hang/slow) on
             chosen transitions; attempt-aware, so the supervised pool's
             retries can demonstrably heal first-attempt faults.
-        factor_cache: factorization-cache mode for the worker-local
-            calculator (``"shared"``/``"private"``/``None``);
-            ``"shared"`` is the *worker process's* singleton, so a
-            worker reuses factorizations across all chunks it scores.
-        cache_budget_mb: worker-local factor-cache byte budget.
-        delta_budget: rank-one update budget
-            (see :class:`~repro.core.commute.CommuteTimeCalculator`).
     """
 
-    sequence: SharedSequenceSpec
-    method: str
-    k: int
-    root_entropy: int
-    solver: Any
-    tol: float
+    sequence: SharedSequenceSpec | None
+    calculator: dict[str, Any]
     skip_unscorable: bool = False
     unregister_shm: bool = False
     collect_metrics: bool = False
     chaos: ChaosSpec | None = None
-    factor_cache: str | None = None
-    cache_budget_mb: float | None = None
-    delta_budget: int | None = None
 
 
 _STATE: dict[str, Any] = {}
@@ -121,6 +108,24 @@ def _chaos(config: WorkerConfig, transition: int) -> None:
         config.chaos.apply(transition, _TASK_ATTEMPT)
 
 
+def install_state(config: WorkerConfig,
+                  snapshots: list[GraphSnapshot],
+                  registry: MetricsRegistry | None,
+                  attached: AttachedGraphSequence | None = None) -> None:
+    """Fill :data:`_STATE` for a run: the config, its snapshots, the
+    worker's metrics registry, an optional shared-memory attachment,
+    and a calculator rebuilt from ``config.calculator``."""
+    calculator = CommuteTimeCalculator(**config.calculator)
+    _STATE.clear()
+    _STATE.update(
+        config=config,
+        attached=attached,
+        snapshots=snapshots,
+        calculator=calculator,
+        registry=registry,
+    )
+
+
 def init_worker(config: WorkerConfig) -> None:
     """Pool initializer: attach shared memory, build worker-local state."""
     registry = None
@@ -135,24 +140,7 @@ def init_worker(config: WorkerConfig) -> None:
             GraphSnapshot._from_canonical(matrix, universe, time)
             for matrix, time in zip(attached.matrices, attached.times)
         ]
-        extra = {}
-        if config.delta_budget is not None:
-            extra["delta_budget"] = config.delta_budget
-        calculator = CommuteTimeCalculator(
-            method=config.method, k=config.k, seed=config.root_entropy,
-            solver=config.solver, tol=config.tol, seed_mode="content",
-            factor_cache=config.factor_cache,
-            cache_budget_mb=config.cache_budget_mb,
-            **extra,
-        )
-    _STATE.clear()
-    _STATE.update(
-        config=config,
-        attached=attached,
-        snapshots=snapshots,
-        calculator=calculator,
-        registry=registry,
-    )
+        install_state(config, snapshots, registry, attached)
 
 
 def _metrics_state() -> dict[str, Any] | None:

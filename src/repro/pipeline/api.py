@@ -204,7 +204,7 @@ def _run_detector(detector: Detector,
                   anomalies_per_transition: int,
                   delta: float | None) -> DetectionReport:
     """Dispatch one resolved detector instance over a sequence."""
-    if isinstance(detector, (CadDetector, ParallelCadDetector)):
+    if isinstance(detector, CadDetector):
         return detector.detect(
             graph,
             anomalies_per_transition=(

@@ -702,15 +702,20 @@ class SessionManager:
         Only CAD streams parallelize (the engine shards commute-time
         scoring); transition sharding is bit-for-bit, but only when
         randomness cannot diverge: the exact backend uses none, and the
-        approx backend matches only under content-keyed seeding.
+        approx backend matches only under content-keyed seeding. The
+        delta tier (``delta_budget > 0``: a factor cache's default, or
+        ``incremental``) advances each ``L^+`` from the previous
+        snapshot's, which a worker starting a chunk cold cannot do.
         """
         if not isinstance(detector, StreamingCadDetector):
             return False
         if self._workers <= 1 or len(batch) < 2:
             return False
-        if detector.incremental or detector.latest_snapshot is None:
+        if detector.latest_snapshot is None:
             return False
         calculator = detector.detector.calculator
+        if calculator.delta_budget > 0:
+            return False
         method = calculator.resolve_method(batch[0].num_nodes)
         return method == "exact" or calculator.seed_mode == "content"
 

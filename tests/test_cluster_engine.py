@@ -11,6 +11,7 @@ kill is ``os._exit``, which would take the test process with it).
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import os
 import subprocess
 import sys
@@ -19,9 +20,14 @@ from pathlib import Path
 
 import pytest
 
-from repro import CadDetector
+from repro import CadDetector, FallbackPolicy, ParallelCadDetector
 from repro.cluster import ClusterCoordinator, ClusterEngine, run_worker
+from repro.cluster import protocol
+from repro.cluster.coordinator import SocketShardTransport
+from repro.cluster.worker import _configure_state
 from repro.exceptions import ParallelExecutionError
+from repro.parallel import SharedGraphSequence
+from repro.parallel import worker as parallel_worker
 from repro.resilience.chaos import ChaosSpec
 
 from .test_parallel_determinism import (
@@ -214,3 +220,69 @@ class TestCoordinator:
                 thread_workers(coordinator, 2):
             engine = ClusterEngine(coordinator, min_workers=1)
             assert engine.workers == 2
+
+
+class _ConfigCaptured(Exception):
+    """Stops an engine run once its worker config exists."""
+
+
+def shipped_worker_config(engine, graph):
+    """The WorkerConfig an engine run hands its transport (no pool
+    starts: the transport hook raises once it has the config)."""
+    captured = []
+
+    def capture(config, graph, pool_size):
+        captured.append(config)
+        raise _ConfigCaptured
+
+    engine._make_transport = capture
+    with pytest.raises(_ConfigCaptured):
+        engine.score_sequence(graph)
+    return captured[0]
+
+
+class TestWorkerCalculator:
+    @pytest.mark.parametrize("side", ["local", "remote"])
+    def test_workers_rebuild_the_parent_calculator(self, side):
+        """Every backend option reaches a worker, local or remote: the
+        installed calculator's spec is the engine's, method resolved."""
+        graph = make_sequence(num_snapshots=3)
+        engine = ParallelCadDetector(
+            workers=2, shard_by="transition", method="approx", k=12,
+            seed=5, solver=FallbackPolicy(cg_retries=1), exact_limit=40,
+            tol=1e-6, factor_cache="private", cache_budget_mb=8.0,
+            delta_budget=3,
+        )
+        config = shipped_worker_config(engine, graph)
+        expected = {
+            **engine.calculator.spec(),
+            "method": engine.calculator.resolve_method(graph.num_nodes),
+        }
+        if side == "local":
+            store = SharedGraphSequence.publish(graph)
+            try:
+                parallel_worker.init_worker(dataclasses.replace(
+                    config, sequence=store.spec, unregister_shm=False,
+                    collect_metrics=False,
+                ))
+                installed = parallel_worker._STATE["calculator"].spec()
+            finally:
+                attached = parallel_worker._STATE.get("attached")
+                parallel_worker._STATE.clear()
+                if attached is not None:
+                    attached.close()
+                store.cleanup()
+        else:
+            with ClusterCoordinator() as coordinator:
+                transport = SocketShardTransport(coordinator, config,
+                                                 graph, None)
+            [(kind, document)] = protocol.FrameDecoder().feed(
+                transport._configure_frame
+            )
+            assert kind == protocol.CONFIGURE
+            try:
+                _configure_state(document)
+                installed = parallel_worker._STATE["calculator"].spec()
+            finally:
+                parallel_worker._STATE.clear()
+        assert installed == expected

@@ -33,6 +33,7 @@ from repro.parallel.checkpoint import (
     write_parallel_checkpoint,
 )
 from repro.pipeline.api import WORKERS_ENV_VAR
+from repro.resilience.chaos import ChaosSpec
 
 
 def make_sequence(num_snapshots=4, n=30, seed=3) -> DynamicGraph:
@@ -161,7 +162,7 @@ def test_worker_crash_raises_parallel_execution_error():
     graph = make_sequence()
     detector = ParallelCadDetector(
         workers=2, shard_by="transition", seed=1,
-        _crash_transitions=(1,),
+        chaos=ChaosSpec(kill_transitions=(1,), attempts=None),
     )
     with pytest.raises(ParallelExecutionError):
         detector.detect(graph, anomalies_per_transition=3)
@@ -221,7 +222,8 @@ def test_checkpoint_resume_skips_completed_transitions(tmp_path):
     # checkpoint must prevent them from ever being scored again.
     resumed = ParallelCadDetector(
         workers=2, seed=4, checkpoint_path=path,
-        _crash_transitions=tuple(range(graph.num_transitions)),
+        chaos=ChaosSpec(kill_transitions=range(graph.num_transitions),
+                        attempts=None),
     ).detect(graph, anomalies_per_transition=3)
     assert resumed.threshold == baseline.threshold
     for ours, theirs in zip(resumed.transitions, baseline.transitions):
@@ -234,7 +236,8 @@ def test_crash_then_resume_completes_the_run(tmp_path):
     path = tmp_path / "crashy.npz"
     crashy = ParallelCadDetector(
         workers=2, seed=4, chunk_size=1, checkpoint_path=path,
-        _crash_transitions=(graph.num_transitions - 1,),
+        chaos=ChaosSpec(kill_transitions=(graph.num_transitions - 1,),
+                        attempts=None),
     )
     with pytest.raises(ParallelExecutionError):
         crashy.detect(graph, anomalies_per_transition=3)

@@ -10,6 +10,7 @@ import scipy.sparse as sp
 
 from repro.core.streaming import StreamingCadDetector
 from repro.graphs.snapshot import GraphSnapshot, NodeUniverse
+from repro.linalg.factorcache import reset_shared_cache
 from repro.pipeline.serialize import snapshot_to_payload
 from repro.service import (
     CapacityError,
@@ -232,19 +233,34 @@ class TestConcurrency:
 
 
 class TestParallelBatches:
-    def test_parallel_batch_matches_serial(self, tmp_path, payloads):
-        serial = SessionManager(checkpoint_dir=tmp_path / "serial")
-        a = serial.create_session({"seed": 3, "warmup": 2})["session"]
-        for payload in payloads:
-            serial.push(a, payload)
+    # With a factor cache the delta tier is on by default: the batch
+    # must fall back to serial pushes to keep bit-for-bit parity.
+    @pytest.mark.parametrize("config", [
+        {"seed": 3, "warmup": 2},
+        {"seed": 3, "warmup": 2, "factor_cache": True},
+    ], ids=["default", "factor_cache"])
+    def test_parallel_batch_matches_serial(self, tmp_path, payloads,
+                                           config):
+        # Cache entries of the serial run must not reach the forked
+        # workers, where they would mask a divergence.
+        reset_shared_cache()
+        try:
+            serial = SessionManager(checkpoint_dir=tmp_path / "serial")
+            a = serial.create_session(dict(config))["session"]
+            for payload in payloads:
+                serial.push(a, payload)
 
-        parallel = SessionManager(checkpoint_dir=tmp_path / "par",
-                                  workers=2, max_queue=16)
-        b = parallel.create_session({"seed": 3, "warmup": 2})["session"]
-        parallel.push(b, payloads[0])
-        response = parallel.push(b, {"snapshots": payloads[1:]})
-        assert response["pushed"] == len(payloads) - 1
-        assert entries(parallel.report(b)) == entries(serial.report(a))
+            reset_shared_cache()
+            parallel = SessionManager(checkpoint_dir=tmp_path / "par",
+                                      workers=2, max_queue=16)
+            b = parallel.create_session(dict(config))["session"]
+            parallel.push(b, payloads[0])
+            response = parallel.push(b, {"snapshots": payloads[1:]})
+            assert response["pushed"] == len(payloads) - 1
+            assert entries(parallel.report(b)) == \
+                entries(serial.report(a))
+        finally:
+            reset_shared_cache()
 
 
 class TestDrain:
