@@ -545,7 +545,7 @@ class StreamingCadDetector(StreamLifecycle):
         return {"rng_state": self._detector.calculator.rng_state()}
 
     def _load_private_state(self, state: dict[str, Any]) -> None:
-        # Replaying the scores rebuilds the online δ exactly.
-        for scores in self._scored:
-            self._selector.update(scores)
+        # One selection over the restored scores rebuilds the online δ
+        # exactly, as replaying every update would.
+        self._selector.extend(self._scored)
         self._detector.calculator.set_rng_state(state["rng_state"])

@@ -1,6 +1,6 @@
 """Threshold machinery for Algorithm 1 and the paper's δ selection.
 
-Two pieces:
+Three pieces:
 
 * :func:`minimal_edge_set` — given per-edge scores and a level δ, find
   the paper's ``E_t``: the *smallest* edge set ``S`` whose removal
@@ -14,6 +14,13 @@ Two pieces:
 * :class:`OnlineThresholdSelector` — the paper's suggested online
   modification: aggregate scores seen so far and re-derive δ after
   every transition.
+
+The bisection probes δ up to 200 times, so each transition is sorted
+once into a private cut profile: its residual mass in score order and
+the sorted position at which each endpoint first enters the cut. A
+probe then counts ``|V_t|`` with two ``searchsorted`` calls instead of
+a fresh sort. The online selector keeps one profile per transition it
+has absorbed, so a push sorts only its own transition.
 """
 
 from __future__ import annotations
@@ -24,6 +31,33 @@ from .._validation import check_finite_float, check_positive_int
 from ..exceptions import ThresholdError
 from ..observability import trace
 from .results import TransitionScores
+
+
+def _check_delta(delta: float) -> float:
+    delta = check_finite_float(delta, "delta")
+    if delta <= 0:
+        raise ThresholdError(f"delta must be > 0, got {delta}")
+    return delta
+
+
+def _sorted_residual(scores: np.ndarray,
+                     ) -> tuple[np.ndarray, float, np.ndarray]:
+    """Descending score order, total mass, and ``residual`` where
+    ``residual[k]`` is the mass left once the top ``k + 1`` edges are
+    removed. ``scores`` must be non-empty."""
+    order = np.argsort(-scores)
+    # The residual after removing the top-k edges is accumulated from
+    # the SMALLEST scores upward. Deriving it as `total - prefix`
+    # (forward cumsum) cancels catastrophically on mixed-magnitude
+    # scores: a true residual of ~1e-9 next to a ~1e8 total rounds to
+    # exactly 0.0 several edges early, silently dropping positive
+    # edges from the cut at small delta. The reverse accumulation
+    # never subtracts, is exact at 0.0 once all positive scores are
+    # removed, and stays monotone non-increasing, so the minimality
+    # argument (first index whose residual falls below delta) holds.
+    tail = np.cumsum(scores[order][::-1])
+    residual = np.concatenate((tail[-2::-1], [0.0]))
+    return order, float(tail[-1]), residual
 
 
 def minimal_edge_set(edge_scores: np.ndarray, delta: float) -> np.ndarray:
@@ -44,41 +78,70 @@ def minimal_edge_set(edge_scores: np.ndarray, delta: float) -> np.ndarray:
     Returns:
         Boolean array marking the members of ``E_t``.
     """
-    delta = check_finite_float(delta, "delta")
-    if delta <= 0:
-        raise ThresholdError(f"delta must be > 0, got {delta}")
+    delta = _check_delta(delta)
     scores = np.asarray(edge_scores, dtype=np.float64)
     selected = np.zeros(scores.shape, dtype=bool)
     if scores.size == 0:
         return selected
-    order = np.argsort(-scores)
-    # The residual after removing the top-k edges is accumulated from
-    # the SMALLEST scores upward. Deriving it as `total - prefix`
-    # (forward cumsum) cancels catastrophically on mixed-magnitude
-    # scores: a true residual of ~1e-9 next to a ~1e8 total rounds to
-    # exactly 0.0 several edges early, silently dropping positive
-    # edges from the cut at small delta. The reverse accumulation
-    # never subtracts, is exact at 0.0 once all positive scores are
-    # removed, and stays monotone non-increasing, so the minimality
-    # argument (first index whose residual falls below delta) holds.
-    tail = np.cumsum(scores[order][::-1])
-    total = float(tail[-1])
+    order, total, residual = _sorted_residual(scores)
     if total < delta:
         return selected
-    residual = np.concatenate((tail[-2::-1], [0.0]))
     # Smallest prefix whose removal brings the residual below delta.
     cutoff = int(np.argmax(residual < delta)) + 1
     selected[order[:cutoff]] = True
     return selected
 
 
+class _CutProfile:
+    """One transition sorted once, answering ``|V_t|`` at any δ.
+
+    Algorithm 1 at level δ cuts the top ``cutoff`` edges in score
+    order, so ``V_t`` is every endpoint whose first sorted position is
+    below ``cutoff``. Holding the negated residual (ascending) and
+    those first positions (sorted) makes each count two binary
+    searches. A profile lives only as long as the selection call or
+    online selector that built it; it is never cached on the scores.
+    """
+
+    __slots__ = ("mass", "smallest_positive", "_total", "_neg_residual",
+                 "_first_positions")
+
+    def __init__(self, scores: TransitionScores):
+        # `top` in select_global_threshold is the pairwise sum; the
+        # cumsum's last element can differ from it by one ULP.
+        self.mass = scores.total_edge_score()
+        edge_scores = np.asarray(scores.edge_scores, dtype=np.float64)
+        positive = edge_scores[edge_scores > 0]
+        self.smallest_positive = (
+            float(positive.min()) if positive.size else None
+        )
+        self._total = 0.0
+        self._neg_residual = self._first_positions = np.zeros(0)
+        if edge_scores.size == 0:
+            return
+        order, self._total, residual = _sorted_residual(edge_scores)
+        self._neg_residual = -residual
+        size = edge_scores.size
+        first = np.full(len(scores.universe), size, dtype=np.intp)
+        positions = np.arange(size)
+        np.minimum.at(first, scores.edge_rows[order], positions)
+        np.minimum.at(first, scores.edge_cols[order], positions)
+        self._first_positions = np.sort(first[first < size])
+
+    def node_count(self, delta: float) -> int:
+        """``|V_t|`` at level ``delta`` (> 0)."""
+        if self._total < delta:
+            return 0
+        # First index whose residual falls below delta, plus one: the
+        # same cutoff as `argmax(residual < delta) + 1`.
+        cutoff = int(np.searchsorted(self._neg_residual, -delta,
+                                     side="right")) + 1
+        return int(np.searchsorted(self._first_positions, cutoff))
+
+
 def node_count_at(scores: TransitionScores, delta: float) -> int:
     """``|V_t|`` that Algorithm 1 would output at level δ."""
-    mask = minimal_edge_set(scores.edge_scores, delta)
-    if not mask.any():
-        return 0
-    nodes = np.union1d(scores.edge_rows[mask], scores.edge_cols[mask])
-    return int(nodes.size)
+    return _CutProfile(scores).node_count(_check_delta(delta))
 
 
 def total_node_count(transitions: list[TransitionScores],
@@ -101,7 +164,8 @@ def select_global_threshold(transitions: list[TransitionScores],
     depends on.
 
     Args:
-        transitions: scored transitions of the sequence.
+        transitions: scored transitions of the sequence (or the cut
+            profiles of them that an online selector already holds).
         anomalies_per_transition: the paper's ``l`` (>= 1).
         max_bisection_steps: bisection iteration budget.
 
@@ -118,8 +182,11 @@ def select_global_threshold(transitions: list[TransitionScores],
         anomalies_per_transition, "anomalies_per_transition"
     )
     target = budget * len(transitions)
-    masses = [scores.total_edge_score() for scores in transitions]
-    top = max(masses)
+    profiles = [
+        item if isinstance(item, _CutProfile) else _CutProfile(item)
+        for item in transitions
+    ]
+    top = max(profile.mass for profile in profiles)
     if top <= 0:
         raise ThresholdError(
             "all transitions have zero score mass; nothing to threshold"
@@ -136,25 +203,27 @@ def select_global_threshold(transitions: list[TransitionScores],
     # instead: any delta <= that score selects every positive edge.
     smallest_positive = min(
         (
-            float(scores.edge_scores[scores.edge_scores > 0].min())
-            for scores in transitions
-            if scores.num_scored_edges
-            and bool((scores.edge_scores > 0).any())
+            profile.smallest_positive for profile in profiles
+            if profile.smallest_positive is not None
         ),
         default=top,
     )
     low = 0.5 * smallest_positive
     if low <= 0.0:  # a denormal-tiny smallest score halved to zero
         low = float(np.finfo(np.float64).tiny)
+
+    def count(delta: float) -> int:
+        return sum(profile.node_count(delta) for profile in profiles)
+
     with trace("threshold.select", transitions=len(transitions),
                target=target):
-        if total_node_count(transitions, high) >= target:
+        if count(high) >= target:
             return high
-        if total_node_count(transitions, low) < target:
+        if count(low) < target:
             return low  # budget larger than the available support
         for _step in range(max_bisection_steps):
             mid = 0.5 * (low + high)
-            if total_node_count(transitions, mid) >= target:
+            if count(mid) >= target:
                 low = mid
             else:
                 high = mid
@@ -188,7 +257,7 @@ class OnlineThresholdSelector:
             anomalies_per_transition, "anomalies_per_transition"
         )
         self._warmup = check_positive_int(warmup, "warmup")
-        self._seen: list[TransitionScores] = []
+        self._seen: list[_CutProfile] = []
         self._delta: float | None = None
 
     def update(self, scores: TransitionScores) -> float | None:
@@ -199,10 +268,21 @@ class OnlineThresholdSelector:
         (``len(seen) <= warmup``, not ``<`` — the historical off-by-one
         made ``warmup=1`` emit on the very first transition).
         """
-        self._seen.append(scores)
+        return self.extend([scores])
+
+    def extend(self, transitions: list[TransitionScores]) -> float | None:
+        """Absorb several transitions, then select δ once.
+
+        Leaves the selector exactly as :meth:`update` on each in turn
+        would: every selection depends only on the transitions absorbed
+        so far, so only the last one survives. Restoring a stream's
+        history this way costs one selection instead of one per
+        transition.
+        """
+        self._seen.extend(_CutProfile(scores) for scores in transitions)
         if len(self._seen) <= self._warmup:
             return None
-        if all(s.total_edge_score() <= 0 for s in self._seen):
+        if all(profile.mass <= 0 for profile in self._seen):
             return None
         self._delta = select_global_threshold(self._seen, self._l)
         return self._delta

@@ -97,6 +97,9 @@ class DetectionRequestHandler(BaseHTTPRequestHandler):
 
     server: "DetectionHTTPServer"
     protocol_version = "HTTP/1.1"
+    # TCP_NODELAY: a reply's body goes out without waiting for the
+    # client's delayed ACK of the headers (about 40 ms per reply).
+    disable_nagle_algorithm = True
 
     # -- plumbing ------------------------------------------------------------
 

@@ -14,6 +14,7 @@ from repro.core import (
     total_node_count,
 )
 from repro.core.results import TransitionScores
+from repro.core.thresholds import _CutProfile
 from repro.exceptions import ThresholdError
 from repro.graphs import NodeUniverse
 
@@ -279,3 +280,170 @@ class TestOnlineSelector:
         selector = OnlineThresholdSelector(1, warmup=1)
         assert selector.update(_scores([0.0])) is None
         assert selector.update(_scores([0.0])) is None
+
+
+# -- cut profiles: one sort per transition, bit for bit with the cut -------
+
+#: Ties, exact zeros and magnitudes from 1e-12 to 1e8.
+_SCORE = st.one_of(
+    st.just(0.0),
+    st.sampled_from([0.25, 1.0, 3.0]),
+    st.builds(lambda mantissa, exponent: mantissa * 10.0 ** exponent,
+              st.floats(min_value=1.0, max_value=9.99),
+              st.integers(min_value=-12, max_value=7)),
+)
+
+
+@st.composite
+def _transitions(draw, max_edges=24):
+    """One transition whose edges share endpoints over a few nodes."""
+    n = draw(st.integers(min_value=2, max_value=8))
+    pairs = draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        .filter(lambda pair: pair[0] != pair[1]),
+        max_size=max_edges,
+    ))
+    values = draw(st.lists(_SCORE, min_size=len(pairs),
+                           max_size=len(pairs)))
+    rows = np.array([min(pair) for pair in pairs], dtype=np.int64)
+    cols = np.array([max(pair) for pair in pairs], dtype=np.int64)
+    return _scores(values, rows=rows, cols=cols, n=n)
+
+
+def _reference_count(scores, delta):
+    mask = minimal_edge_set(scores.edge_scores, delta)
+    return int(np.union1d(scores.edge_rows[mask],
+                          scores.edge_cols[mask]).size)
+
+
+def _reference_delta(transitions, budget, steps=200):
+    """The per-probe bisection that re-cuts every transition per probe."""
+    target = budget * len(transitions)
+    top = max(scores.total_edge_score() for scores in transitions)
+    if top <= 0:
+        raise ThresholdError("zero mass")
+    high = top * (1.0 + 1e-9)
+    low = 0.5 * min(
+        (float(s.edge_scores[s.edge_scores > 0].min())
+         for s in transitions if (s.edge_scores > 0).any()),
+        default=top,
+    )
+    if low <= 0.0:
+        low = float(np.finfo(np.float64).tiny)
+
+    def count(delta):
+        return sum(_reference_count(s, delta) for s in transitions)
+
+    if count(high) >= target:
+        return high
+    if count(low) < target:
+        return low
+    for _step in range(steps):
+        mid = 0.5 * (low + high)
+        if count(mid) >= target:
+            low = mid
+        else:
+            high = mid
+        if high - low <= 1e-12 * top:
+            break
+    return low
+
+
+class TestCutProfile:
+    @given(_transitions(), st.floats(min_value=1e-13, max_value=1e9))
+    @settings(max_examples=300, deadline=None)
+    def test_count_matches_the_cut(self, scores, random_delta):
+        """At every level where the cut can change — each positive
+        residual, one ULP either side of it, the total — and at a
+        random level, the profile counts the cut's endpoints."""
+        tail = np.cumsum(np.sort(scores.edge_scores))
+        residuals = tail[:-1][tail[:-1] > 0]
+        deltas = [random_delta]
+        for residual in residuals:
+            deltas += [residual, np.nextafter(residual, 0.0),
+                       np.nextafter(residual, np.inf)]
+        if tail.size and tail[-1] > 0:
+            deltas.append(tail[-1])
+        profile = _CutProfile(scores)
+        for delta in deltas:
+            expected = _reference_count(scores, float(delta))
+            assert profile.node_count(float(delta)) == expected
+            assert node_count_at(scores, float(delta)) == expected
+
+    @given(st.lists(_transitions(), min_size=1, max_size=6),
+           st.integers(min_value=1, max_value=5))
+    @settings(max_examples=150, deadline=None)
+    def test_delta_equals_the_per_probe_bisection(self, transitions,
+                                                  budget):
+        try:
+            expected = _reference_delta(transitions, budget)
+        except ThresholdError:
+            with pytest.raises(ThresholdError):
+                select_global_threshold(transitions, budget)
+            return
+        delta = select_global_threshold(transitions, budget)
+        assert delta == expected and repr(delta) == repr(expected)
+
+    @given(st.lists(_transitions(), min_size=1, max_size=6),
+           st.integers(min_value=1, max_value=5),
+           st.integers(min_value=1, max_value=3))
+    @settings(max_examples=100, deadline=None)
+    def test_online_delta_equals_the_reference(self, transitions, budget,
+                                               warmup):
+        selector = OnlineThresholdSelector(budget, warmup=warmup)
+        for seen, scores in enumerate(transitions, start=1):
+            delta = selector.update(scores)
+            history = transitions[:seen]
+            if seen <= warmup or all(
+                    s.total_edge_score() <= 0 for s in history):
+                assert delta is None
+                continue
+            expected = _reference_delta(history, budget)
+            assert delta == expected and repr(delta) == repr(expected)
+            assert selector.current() == expected
+
+    def test_online_selector_sorts_each_transition_once(self,
+                                                        monkeypatch):
+        rng = np.random.default_rng(3)
+        transitions = [_scores(rng.random(40) * 10.0 ** rng.integers(-3, 4),
+                               rows=rng.integers(0, 10, 40),
+                               cols=rng.integers(10, 20, 40))
+                       for _ in range(30)]
+        sorts = []
+        argsort = np.argsort
+
+        def counting_argsort(*args, **kwargs):
+            sorts.append(1)
+            return argsort(*args, **kwargs)
+
+        monkeypatch.setattr(np, "argsort", counting_argsort)
+        selector = OnlineThresholdSelector(2, warmup=1)
+        for scores in transitions:
+            selector.update(scores)
+        assert selector.current() is not None
+        assert len(sorts) == 30
+
+    def test_extend_selects_once_like_replayed_updates(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        transitions = [_scores([0.0, 0.0])] + [
+            _scores(rng.random(12) * 10.0 ** rng.integers(-2, 3))
+            for _ in range(9)
+        ]
+        replayed = OnlineThresholdSelector(3, warmup=2)
+        for scores in transitions:
+            replayed.update(scores)
+        calls = []
+
+        def counting_select(*args, **kwargs):
+            calls.append(1)
+            return select_global_threshold(*args, **kwargs)
+
+        monkeypatch.setattr("repro.core.thresholds.select_global_threshold",
+                            counting_select)
+        restored = OnlineThresholdSelector(3, warmup=2)
+        assert restored.extend(transitions) == replayed.current()
+        assert len(calls) == 1
+        assert OnlineThresholdSelector(3, warmup=2).extend(
+            transitions[:2]) is None
+        assert OnlineThresholdSelector(1, warmup=1).extend(
+            [_scores([0.0]), _scores([0.0])]) is None

@@ -142,14 +142,24 @@ class TestPrecipitation:
     def test_all_months(self):
         simulator = PrecipitationSimulator(
             lat_step=10.0, lon_step=10.0, num_years=4,
-            start_year=1990, event_year=1992, knn=3,
+            start_year=1990, event_year=1992, knn=3, seed=0,
         )
         by_month = simulator.generate_all_months()
         assert set(by_month) == set(range(1, 13))
         january = by_month[1]
         july = by_month[7]
-        # seasonality: southern-hemisphere regions are wetter in their
-        # summer (January) than in July
-        jan_mean = january.yearly_region_means("southern_africa").mean()
-        jul_mean = july.yearly_region_means("southern_africa").mean()
-        assert jan_mean != pytest.approx(jul_mean, rel=1e-3)
+        # Seasonality lives outside the named regions, whose climate
+        # class is forced to the same value in every month: southern
+        # cells are wetter in their summer (January), northern cells
+        # in July. The margin holds on every seed checked (ratios of
+        # at least 1.74 and 1.63 over seeds 0-299).
+        named = np.concatenate(list(january.region_nodes.values()))
+        outside = np.setdiff1d(np.arange(january.latitudes.size), named)
+        south = outside[january.latitudes[outside] < 0]
+        north = outside[january.latitudes[outside] > 0]
+
+        def mean(data, cells):
+            return float(data.values[:, cells].mean())
+
+        assert mean(january, south) > 1.2 * mean(july, south)
+        assert mean(july, north) > 1.2 * mean(january, north)

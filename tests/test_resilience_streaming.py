@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from repro.core.streaming import StreamingCadDetector
+from repro.core.thresholds import select_global_threshold
 from repro.exceptions import (
     CheckpointError,
     NodeUniverseMismatchError,
@@ -159,6 +160,36 @@ class TestCheckpointRestore:
             assert a.anomalous_edges == b.anomalous_edges
             np.testing.assert_array_equal(a.scores.edge_scores,
                                           b.scores.edge_scores)
+
+    def test_restore_selects_delta_once(self, tmp_path, monkeypatch):
+        """Restoring 20 transitions runs one δ selection, not one per
+        transition, and lands on the uninterrupted stream's δ."""
+        snapshots = [random_sparse_graph(30, mean_degree=4.0, seed=s,
+                                         connected=True)
+                     for s in range(21)]
+        uninterrupted = _run(snapshots)
+        path = tmp_path / "stream.npz"
+        uninterrupted.checkpoint(path)
+        calls = []
+
+        def counting_select(*args, **kwargs):
+            calls.append(1)
+            return select_global_threshold(*args, **kwargs)
+
+        monkeypatch.setattr("repro.core.thresholds.select_global_threshold",
+                            counting_select)
+        resumed = StreamingCadDetector.restore(path, method="exact")
+        assert len(calls) == 1
+        assert resumed.num_transitions == 20
+        assert repr(resumed.current_delta) == \
+            repr(uninterrupted.current_delta)
+        expected = uninterrupted.finalize()
+        report = resumed.finalize()
+        assert report.threshold == expected.threshold
+        for a, b in zip(expected.transitions, report.transitions):
+            np.testing.assert_array_equal(a.scores.node_scores,
+                                          b.scores.node_scores)
+            assert a.anomalous_nodes == b.anomalous_nodes
 
     def test_file_round_trip(self, stream_snapshots, tmp_path):
         uninterrupted = _run(stream_snapshots).finalize()

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -19,6 +21,7 @@ from repro.observability import MetricsRegistry, current_registry, disable, enab
 from repro.pipeline.api import detect
 from repro.pipeline.serialize import report_to_dict, snapshot_from_payload
 from repro.service import SessionManager, make_server
+from repro.service.server import DetectionRequestHandler
 
 from .test_service_sessions import entries, random_payloads
 
@@ -266,6 +269,33 @@ class TestLifecycleHTTP:
         assert "repro_service_snapshots_ingested_total 3" in text
         assert "repro_service_sessions_created_total" in text
         assert 'repro_span_count{span="service.push"} 3' in text
+
+    def test_replies_go_out_without_nagle(self, service, monkeypatch):
+        """The accepted socket has TCP_NODELAY, so a reply's body is not
+        held back until the client ACKs the headers."""
+        server, _ = service
+        options = []
+        setup = DetectionRequestHandler.setup
+
+        def recording_setup(handler):
+            setup(handler)
+            options.append(handler.connection.getsockopt(
+                socket.IPPROTO_TCP, socket.TCP_NODELAY))
+
+        monkeypatch.setattr(DetectionRequestHandler, "setup",
+                            recording_setup)
+        connection = http.client.HTTPConnection("127.0.0.1", server.port,
+                                                timeout=30)
+        try:
+            for _ in range(2):
+                connection.request("GET", "/healthz")
+                response = connection.getresponse()
+                assert response.status == 200
+                response.read()
+        finally:
+            connection.close()
+        assert len(options) == 1  # both requests on one connection
+        assert options[0] != 0
 
 
 class TestGracefulShutdown:
