@@ -31,6 +31,7 @@ from .laplacian import graph_volume, incidence_factors
 from .solvers import make_solver
 
 _PROJECTION_CHUNK = 262_144  # edges per chunk when sketching Q W^{1/2} B
+_PAIR_CHUNK = 65_536  # pairs per chunk of (pairs, k) gaps in commute_times
 
 
 def suggest_embedding_dimension(n: int, epsilon: float = 0.5) -> int:
@@ -94,11 +95,13 @@ class CommuteTimeEmbedding:
             laplacian_solver = make_solver(matrix, solver=solver, tol=tol,
                                            health=health)
             # Solve L z_d = y_d for each of the k sketch directions.
-            z = laplacian_solver.solve_many(sketch.T)  # (n, k)
+            points = laplacian_solver.solve_many(sketch.T)  # (n, k)
+            del sketch
 
+        points *= np.sqrt(volume)
         self._k = k
         self._volume = volume
-        self._points = np.sqrt(volume) * z
+        self._points = points
         self._component_labels = laplacian_solver.component_labels
 
     @property
@@ -132,8 +135,12 @@ class CommuteTimeEmbedding:
             raise EmbeddingError(
                 f"rows and cols must align, got {rows.shape} vs {cols.shape}"
             )
-        gaps = self._points[rows] - self._points[cols]
-        return np.einsum("ij,ij->i", gaps, gaps)
+        values = np.empty(rows.size)
+        for start in range(0, rows.size, _PAIR_CHUNK):
+            chunk = slice(start, start + _PAIR_CHUNK)
+            gaps = self._points[rows[chunk]] - self._points[cols[chunk]]
+            values[chunk] = np.einsum("ij,ij->i", gaps, gaps)
+        return values
 
     def commute_time_matrix(self) -> np.ndarray:
         """Dense all-pairs approximate commute time matrix (small n)."""

@@ -9,6 +9,7 @@ from repro.linalg import (
     commute_time_matrix,
     suggest_embedding_dimension,
 )
+from repro.linalg import embedding as embedding_module
 
 
 class TestEmbeddingAccuracy:
@@ -88,6 +89,25 @@ class TestEmbeddingApi:
     def test_rejects_edgeless(self):
         with pytest.raises(EmbeddingError):
             CommuteTimeEmbedding(np.zeros((4, 4)), k=8)
+
+    def test_chunked_pair_query_is_bit_for_bit(self,
+                                                random_connected_graph,
+                                                monkeypatch):
+        embedding = CommuteTimeEmbedding(
+            random_connected_graph.adjacency, k=16, seed=0
+        )
+        rng = np.random.default_rng(3)
+        n = random_connected_graph.num_nodes
+        rows, cols = rng.integers(0, n, 500), rng.integers(0, n, 500)
+        whole = embedding.commute_times(rows, cols)
+        gaps = embedding.points[rows] - embedding.points[cols]
+        np.testing.assert_array_equal(
+            whole, np.einsum("ij,ij->i", gaps, gaps)
+        )
+        monkeypatch.setattr(embedding_module, "_PAIR_CHUNK", 7)
+        np.testing.assert_array_equal(
+            embedding.commute_times(rows, cols), whole
+        )
 
     def test_pair_shape_mismatch(self, random_connected_graph):
         embedding = CommuteTimeEmbedding(

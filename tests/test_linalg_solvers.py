@@ -1,17 +1,29 @@
 """Unit tests for the CG solver and the Laplacian solver."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
 from repro.exceptions import ConvergenceError, SolverError
+from repro.graphs import random_sparse_graph
 from repro.linalg import (
     LaplacianSolver,
+    block_conjugate_gradient,
     conjugate_gradient,
     dense_laplacian,
     laplacian,
     laplacian_pseudoinverse,
+    solvers,
 )
+from repro.observability import collecting
+
+SRC_DIR = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def _spd_system(n=30, seed=0):
@@ -269,3 +281,292 @@ class TestSolveManyEmptyComponents:
             np.testing.assert_allclose(stacked[:, j],
                                        solver.solve(rhs[:, j]),
                                        atol=1e-10)
+
+
+# --- Block CG against the per-column reference -----------------------
+
+
+def _reference_pcg(matrix, b, tol=1e-10, max_iter=None,
+                   preconditioner=None):
+    """Per-column PCG, one vector at a time: the reference recurrence.
+
+    Returns ``(x, iterations)`` where ``iterations`` counts the steps
+    taken before the residual test passed.
+    """
+    n = matrix.shape[0]
+    max_iter = 10 * n + 100 if max_iter is None else max_iter
+    x = np.zeros(n)
+    b_norm = np.linalg.norm(b)
+    if b_norm == 0.0:
+        return x, 0
+    threshold = tol * b_norm
+    residual = b.copy()
+    z = residual if preconditioner is None else preconditioner * residual
+    direction = z.copy()
+    rho = float(residual @ z)
+    for iteration in range(max_iter):
+        if np.linalg.norm(residual) <= threshold:
+            return x, iteration
+        a_direction = matrix @ direction
+        curvature = float(direction @ a_direction)
+        if curvature <= 0.0:
+            raise SolverError("zero curvature")
+        step = rho / curvature
+        x += step * direction
+        residual -= step * a_direction
+        z = residual if preconditioner is None else preconditioner * residual
+        rho_next = float(residual @ z)
+        direction = z + (rho_next / rho) * direction
+        rho = rho_next
+    raise ConvergenceError("reference budget exhausted")
+
+
+def _laplacian_system(n, k, seed):
+    """A random connected graph's Laplacian, its Jacobi preconditioner
+    and ``k`` right-hand sides centred into the Laplacian's range."""
+    graph = random_sparse_graph(n, mean_degree=4.0, seed=seed,
+                                connected=True)
+    lap = laplacian(graph.adjacency)
+    rhs = np.random.default_rng(seed).standard_normal((n, k))
+    return lap, 1.0 / lap.diagonal(), rhs - rhs.mean(axis=0)
+
+
+class TestBlockConjugateGradient:
+    """Block CG keeps the per-column contract of the reference loop;
+    its reductions run in a different order, so results agree to
+    rounding, not bit for bit."""
+
+    # n = 10,000 makes every reduction longer than numpy's 8,192-element
+    # buffer.
+    @pytest.mark.parametrize("n, k, seed", [(40, 5, 0), (700, 8, 1),
+                                            (10_000, 6, 2)])
+    def test_matches_reference_columns(self, n, k, seed):
+        lap, inverse_diag, rhs = _laplacian_system(n, k, seed)
+        with collecting() as registry:
+            block = block_conjugate_gradient(lap, rhs, tol=1e-10,
+                                             preconditioner=inverse_diag)
+        reference_iterations = 0
+        for c in range(k):
+            expected, iterations = _reference_pcg(
+                lap, rhs[:, c], tol=1e-10, preconditioner=inverse_diag,
+            )
+            reference_iterations += iterations
+            assert (np.linalg.norm(block[:, c] - expected)
+                    <= 1e-12 * np.linalg.norm(expected))
+        assert (registry.counter_value("cg_iterations_total")
+                == reference_iterations)
+
+    @staticmethod
+    def _edge_batch():
+        # diag(0, 1, ..., 5) is PSD with null space e_0; CG on a
+        # diagonal matrix needs one iteration per distinct eigenvalue.
+        matrix = sp.csr_matrix(np.diag(np.arange(6.0)))
+        rhs = np.zeros((6, 5))  # column 2 stays all zero
+        rhs[1, 0] = 2.0  # one eigenvalue: 1 iteration
+        rhs[1:, 1] = [1.0, -2.0, 0.5, 3.0, 1.0]  # five: 5 iterations
+        rhs[:, 3] = [1e-9, 1.0, 0.0, 0.0, 0.0, 0.0]  # starts solved
+        rhs[:, 4] = 1000.0 * rhs[:, 1]
+        start = np.zeros((6, 5))
+        start[1, 3] = 1.0  # leaves only the null-space residual 1e-9
+        return matrix, rhs, start
+
+    def test_compaction_edge_cases_in_one_batch(self):
+        matrix, rhs, start = self._edge_batch()
+        with collecting() as registry:
+            x = block_conjugate_gradient(matrix, rhs, tol=1e-12, x0=start)
+        # Columns 0, 1 and 4 converge after 1, 5 and 5 iterations.
+        spent = [_reference_pcg(matrix, rhs[:, c], tol=1e-12)[1]
+                 for c in (0, 1, 4)]
+        assert spent == [1, 5, 5]
+        for c in (0, 1, 4):
+            assert (np.linalg.norm(matrix @ x[:, c] - rhs[:, c])
+                    <= 1e-12 * np.linalg.norm(rhs[:, c]))
+            assert x[0, c] == 0.0
+        # The all-zero column stays exactly zero and costs nothing.
+        assert np.all(x[:, 2] == 0.0)
+        # Column 3 meets zero curvature in its first iteration with its
+        # residual inside the sqrt(tol) band: accepted, iterate kept.
+        np.testing.assert_array_equal(x[:, 3], start[:, 3])
+        assert (registry.counter_value("cg_iterations_total")
+                == sum(spent) + 1)
+
+    def test_budget_exhaustion_names_count_and_worst_column(self):
+        matrix, rhs, start = self._edge_batch()
+        # Two iterations: column 0 converges, column 3 leaves by zero
+        # curvature, columns 1 and 4 (the same system scaled by 1000)
+        # fail; the larger absolute excess names column 4.
+        with collecting() as registry:
+            with pytest.raises(ConvergenceError,
+                               match=r"on 2 of 5 columns \(worst column 4"):
+                block_conjugate_gradient(matrix, rhs, tol=1e-12,
+                                         max_iter=2, x0=start)
+        assert registry.counter_value(
+            "cg_convergence_failures_total") == 1
+
+    def test_zero_curvature_outside_band_raises(self):
+        matrix, rhs, start = self._edge_batch()
+        rhs[0, 3] = 1.0  # column 3's null-space residual, now large
+        with pytest.raises(SolverError, match="curvature"):
+            block_conjugate_gradient(matrix, rhs, tol=1e-12, x0=start)
+
+    def test_chunked_solve_matches_unchunked(self, monkeypatch):
+        lap, inverse_diag, rhs = _laplacian_system(3000, 5, 3)
+        with collecting() as whole_registry:
+            whole = block_conjugate_gradient(lap, rhs, tol=1e-10,
+                                             preconditioner=inverse_diag)
+        # Room for two columns per chunk: chunks of 2, 2 and a lone 1.
+        monkeypatch.setattr(solvers, "_CG_WORKING_SET_BYTES",
+                            2 * 6 * 8 * 3000)
+        with collecting() as registry:
+            chunked = block_conjugate_gradient(lap, rhs, tol=1e-10,
+                                               preconditioner=inverse_diag)
+        assert (np.linalg.norm(chunked - whole)
+                <= 1e-12 * np.linalg.norm(whole))
+        for c in range(5):
+            assert (np.linalg.norm(lap @ chunked[:, c] - rhs[:, c])
+                    <= 1e-10 * np.linalg.norm(rhs[:, c]))
+        assert (registry.counter_value("cg_iterations_total")
+                == whole_registry.counter_value("cg_iterations_total"))
+        # A failing chunk names the column by its index in the batch.
+        with pytest.raises(ConvergenceError,
+                           match=r"of 2 columns \(worst column [23]"):
+            block_conjugate_gradient(
+                lap, np.column_stack([np.zeros((3000, 2)), rhs[:, :3]]),
+                tol=1e-10, max_iter=2, preconditioner=inverse_diag,
+            )
+
+    def test_output_independent_of_blas_threads(self):
+        # OpenBLAS splits long dot products across threads; the loop
+        # must not use BLAS, so one and default threads agree byte for
+        # byte (the cluster's serial-parity gate relies on it).
+        script = (
+            "import hashlib, numpy as np\n"
+            "from repro.graphs import random_sparse_graph\n"
+            "from repro.linalg import block_conjugate_gradient, laplacian\n"
+            "graph = random_sparse_graph(20000, mean_degree=4.0, seed=5,"
+            " connected=True)\n"
+            "lap = laplacian(graph.adjacency)\n"
+            "rhs = np.random.default_rng(5).standard_normal((20000, 4))\n"
+            "rhs -= rhs.mean(axis=0)\n"
+            "x = block_conjugate_gradient(lap, rhs, tol=1e-10,"
+            " preconditioner=1.0 / lap.diagonal())\n"
+            "print(hashlib.sha256(x.tobytes()).hexdigest())\n"
+        )
+        digests = []
+        for threads in ("1", None):
+            env = {key: value for key, value in os.environ.items()
+                   if key not in ("OPENBLAS_NUM_THREADS",
+                                  "OMP_NUM_THREADS", "GOTO_NUM_THREADS")}
+            if threads is not None:
+                env["OPENBLAS_NUM_THREADS"] = threads
+            env["PYTHONPATH"] = os.pathsep.join(
+                filter(None, [SRC_DIR, env.get("PYTHONPATH")])
+            )
+            completed = subprocess.run(
+                [sys.executable, "-c", script], env=env, check=True,
+                capture_output=True, text=True, timeout=120,
+            )
+            digests.append(completed.stdout.strip())
+        assert digests[0] == digests[1]
+
+
+class TestStoredZeroWeights:
+    """An explicitly stored 0.0 is no edge: the solver's components
+    follow the weighted entries, as its Laplacian does."""
+
+    @staticmethod
+    def _two_triangles():
+        rows = [0, 1, 1, 2, 0, 2, 3, 4, 4, 5, 3, 5, 2, 3]
+        cols = [1, 0, 2, 1, 2, 0, 4, 3, 5, 4, 5, 3, 3, 2]
+        weights = [1.0, 1.0, 2.0, 2.0, 3.0, 3.0,
+                   1.5, 1.5, 0.5, 0.5, 1.0, 1.0, 0.0, 0.0]
+        return sp.csr_matrix((weights, (rows, cols)), shape=(6, 6))
+
+    @pytest.mark.parametrize("method", ["cg", "direct"])
+    def test_solves_match_block_pseudoinverse(self, method):
+        adjacency = self._two_triangles()
+        assert adjacency.nnz == 14
+        pseudo = laplacian_pseudoinverse(adjacency)
+        rhs = np.random.default_rng(16).standard_normal((6, 3))
+        centred = rhs.copy()
+        for block in (slice(0, 3), slice(3, 6)):
+            centred[block] -= centred[block].mean(axis=0)
+        solver = LaplacianSolver(adjacency, method=method, tol=1e-12)
+        assert solver.num_components == 2
+        np.testing.assert_allclose(solver.solve_many(rhs),
+                                   pseudo @ centred, atol=1e-10)
+        np.testing.assert_allclose(solver.solve(rhs[:, 0]),
+                                   pseudo @ centred[:, 0], atol=1e-10)
+        assert adjacency.nnz == 14
+
+
+# --- Solver oracle: dense pinv on small hard graphs -------------------
+
+
+@st.composite
+def _hard_graphs(draw):
+    """Disjoint paths, even cycles, random blocks and isolated nodes,
+    weights from 1e-3 to 1e3, shuffled; returns the adjacency and the
+    component of every node."""
+    kinds = draw(st.lists(
+        st.sampled_from(["isolated", "path", "cycle", "random"]),
+        min_size=1, max_size=5,
+    ))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    edges, labels, offset = [], [], 0
+    for component, kind in enumerate(kinds):
+        if kind == "isolated":
+            size, local = 1, []
+        elif kind == "path":
+            size = int(rng.integers(2, 9))
+            local = [(i, i + 1) for i in range(size - 1)]
+        elif kind == "cycle":  # even length: a bipartite spectrum
+            size = 2 * int(rng.integers(2, 5))
+            local = [(i, (i + 1) % size) for i in range(size)]
+        else:
+            size = int(rng.integers(3, 9))
+            local = [(i, int(rng.integers(0, i))) for i in range(1, size)]
+            local += [(i, j) for i in range(size) for j in range(i)
+                      if rng.random() < 0.3]
+        edges += [(offset + i, offset + j) for i, j in local]
+        labels += [component] * size
+        offset += size
+    adjacency = np.zeros((offset, offset))
+    for i, j in edges:
+        adjacency[i, j] = adjacency[j, i] = 10.0 ** rng.uniform(-3, 3)
+    order = rng.permutation(offset)
+    return (adjacency[np.ix_(order, order)],
+            np.asarray(labels)[order])
+
+
+class TestSolverOracle:
+    @pytest.mark.parametrize("method", ["cg", "direct"])
+    @settings(max_examples=60, deadline=None)
+    @given(graph=_hard_graphs(), seed=st.integers(0, 2**32 - 1))
+    def test_solve_many_matches_dense_pinv(self, method, graph, seed):
+        adjacency, labels = graph
+        n = adjacency.shape[0]
+        rhs = np.random.default_rng(seed).standard_normal((n, 3))
+        centred = rhs.copy()
+        for component in np.unique(labels):
+            mask = labels == component
+            centred[mask] -= centred[mask].mean(axis=0)
+        # rcond well above rounding so numerically-zero eigenvalues of
+        # the null space are cut, and well below the 1e-3-weight
+        # components' smallest nonzero eigenvalues.
+        expected = np.linalg.pinv(dense_laplacian(adjacency),
+                                  rcond=1e-11, hermitian=True) @ centred
+        # The default tolerance: with weights six decades apart, CG at
+        # 1e-12 can stall into a zero-curvature direction.
+        solved = LaplacianSolver(adjacency, method=method).solve_many(rhs)
+        np.testing.assert_allclose(
+            solved, expected, rtol=0.0,
+            atol=1e-7 * max(1.0, np.abs(expected).max()),
+        )
+        for component in np.unique(labels):
+            mask = labels == component
+            scale = max(1.0, np.abs(solved[mask]).max())
+            np.testing.assert_allclose(solved[mask].sum(axis=0), 0.0,
+                                       atol=1e-12 * scale * mask.sum())
+            if mask.sum() == 1:
+                assert np.all(solved[mask] == 0.0)
