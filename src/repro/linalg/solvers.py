@@ -23,13 +23,18 @@ the Laplacian uses: an explicitly stored 0.0 is no edge.
 
 Many right-hand sides go through :func:`block_conjugate_gradient`,
 which iterates the columns in lockstep with one sparse mat-mat product
-and one vectorised reduction per per-column quantity. Grade:
-deterministic for a given input and independent of the BLAS thread
-count; within about 1e-15 relative of a column-by-column run, but not
-bit for bit with it.
+and one vectorised reduction per per-column quantity, and solves
+column groups fixed by the problem's size on the process's cores
+(one at a time above about 84,000 rows). Grade: deterministic for a
+given input and independent of the thread count; within about 1e-15
+relative of a column-by-column run (not bit for bit with it) and of
+earlier releases (bit for bit on every input checked).
 """
 
 from __future__ import annotations
+
+import itertools
+import os
 
 import numpy as np
 import scipy.sparse as sp
@@ -47,9 +52,16 @@ from .laplacian import laplacian
 _PAIR_CHUNK = 64
 
 #: Byte budget for the working set of :func:`block_conjugate_gradient`,
-#: which solves its columns in chunks of the widest width that fits
-#: (50 columns stay one chunk up to about 83,000 rows).
+#: summed over the column groups it solves at once; one group is at
+#: most as wide as fits alone (50 columns up to about 84,000 rows).
 _CG_WORKING_SET_BYTES = 192 * 2**20
+
+#: Most columns in one column group of :func:`block_conjugate_gradient`.
+_CG_GROUP_COLUMNS = 25
+
+#: Fewest entries (rows x columns) in one group where the number of
+#: columns allows: smaller groups cost more together than one batch.
+_CG_GROUP_MIN_ENTRIES = 2**14
 
 
 def conjugate_gradient(matrix: sp.spmatrix,
@@ -106,33 +118,43 @@ def block_conjugate_gradient(matrix: sp.spmatrix,
 
     Each column runs its own PCG recurrence (its own step length, β,
     residual test and budget; this is *not* a coupled block-Krylov
-    method), but all still-active columns advance through one shared
-    sparse mat-mat product per iteration and share the Jacobi
-    preconditioner. The active columns are held as C-contiguous
+    method), but the still-active columns of a group advance through
+    one shared sparse mat-mat product per iteration and share the
+    Jacobi preconditioner. The active columns are held as C-contiguous
     ``(n, active)`` arrays: a column that meets its threshold (or
     leaves by the zero-curvature rule) has its iterate written to the
     output and is dropped from the working set, and every per-column
     reduction (residual norm, curvature, ρ) is one ``einsum`` over the
-    whole set. The loop calls no BLAS, so results do not depend on the
-    BLAS thread count.
+    whole set. The loop calls no BLAS.
 
-    Columns are solved in chunks whose width keeps the working set
-    within ``_CG_WORKING_SET_BYTES``; one chunk covers 50 columns up to
-    about 83,000 rows.
+    The columns are split into groups of equal width (±1) whose number
+    depends on n and k only: at most ``_CG_GROUP_COLUMNS`` columns and,
+    where k allows, at least ``_CG_GROUP_MIN_ENTRIES`` entries per
+    group, and never wider than keeps one group's working set within
+    ``_CG_WORKING_SET_BYTES``. The groups run at once on up to
+    :func:`_thread_budget` threads, the caller among them, as many as
+    keep their joint working set within that budget: 50 columns are
+    two groups of 25 from 656 rows up, solved one at a time above
+    about 84,000 rows.
 
     Grade: deterministic for a given input, whatever the process or
-    the BLAS thread count. Not bit for bit with earlier releases, with
-    a per-column loop, or with a column solved alone (``einsum``
-    reduces a lone column with a different kernel than a batch): the
-    differences are about 1e-15 relative.
+    the thread count. Within about 1e-15 relative of earlier releases
+    (bit for bit on every input checked), but not bit for bit with a
+    per-column loop or a column solved alone: ``einsum`` reduces a
+    lone column with a different kernel than a batch, and a group can
+    narrow to one column where a wider batch would not.
 
     Args / raises: as :func:`conjugate_gradient`, with ``rhs_columns``
     and ``x0`` of shape ``(n, k)``. The threshold ``tol * ||b_c||``,
     the budget and the zero-curvature escape (accept within
     ``sqrt(tol) * ||b_c||``, else raise) apply per column. An all-zero
-    column returns zeros at no iteration cost. A chunk whose columns
+    column returns zeros at no iteration cost. A group whose columns
     exhaust their budget raises one ``ConvergenceError`` naming how
-    many of its columns failed and the worst one.
+    many of its columns failed and the worst one by its index in
+    ``rhs_columns``. When groups fail, the running ones finish first
+    and the lowest-index failing group's error is raised;
+    ``cg_iterations_total`` then may include groups that ran beside
+    it.
     """
     n = matrix.shape[0]
     tol = check_positive_float(tol, "tol")
@@ -151,22 +173,100 @@ def block_conjugate_gradient(matrix: sp.spmatrix,
                 f"x0 has shape {x0.shape}, expected {b.shape}"
             )
     x = np.zeros_like(b)
-    # Six float64 (n, width) arrays live at once: iterate, residual,
-    # direction, preconditioned residual, mat-mat product, temporary.
+    k = b.shape[1]
+    # Six float64 (n, columns) arrays live at once per group: iterate,
+    # residual, direction, preconditioned residual, mat-mat product,
+    # temporary.
     width = max(1, _CG_WORKING_SET_BYTES // (6 * 8 * max(n, 1)))
-    for first in range(0, b.shape[1], width):
-        chunk = slice(first, first + width)
-        _solve_chunk(matrix, b[:, chunk], x[:, chunk], first, tol,
+    count = max(1, -(-k // width), min(-(-k // _CG_GROUP_COLUMNS),
+                                       n * k // _CG_GROUP_MIN_ENTRIES))
+    bounds = [k * group // count for group in range(count + 1)]
+    concurrency = 1 if count == 1 else min(
+        _thread_budget(), count, width // -(-k // count)
+    )
+
+    def solve(group):
+        chunk = slice(bounds[group], bounds[group + 1])
+        _solve_chunk(matrix, b[:, chunk], x[:, chunk], chunk.start, tol,
                      max_iter, preconditioner,
                      None if x0 is None else x0[:, chunk])
+
+    errors = _run_groups(solve, count, concurrency)
+    if errors:
+        error = errors[min(errors)]
+        if isinstance(error, ConvergenceError):
+            add_counter("cg_convergence_failures_total")
+        raise error
     return x
+
+
+def _thread_budget() -> int:
+    """Threads :func:`block_conjugate_gradient` may run at once.
+
+    The CPUs in the process's affinity mask, lowered to the first of
+    ``OPENBLAS_NUM_THREADS`` and ``OMP_NUM_THREADS`` that is set to a
+    positive integer: the limit the process's BLAS already obeys.
+    """
+    try:
+        budget = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        budget = os.cpu_count() or 1
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        try:
+            limit = int(os.environ.get(name, ""))
+        except ValueError:
+            continue
+        if limit > 0:
+            return min(budget, limit)
+    return budget
+
+
+def _run_groups(solve, count: int,
+                concurrency: int) -> dict[int, Exception]:
+    """Call ``solve(group)`` for each group below ``count`` on
+    ``concurrency`` threads, the caller one of them.
+
+    Threads take groups in index order from a shared counter and take
+    none once a group has failed, so every group below a failing one
+    has run and the lowest failing index does not depend on timing.
+    Returns the failed groups' exceptions by index. The helpers come
+    from a pool built for this call, so none outlives it (the parallel
+    engine forks); the caller takes groups too because every thread
+    keeps its own malloc arena at its peak after the call.
+    """
+    errors: dict[int, Exception] = {}
+    claims = itertools.count()  # next() is atomic under the GIL
+
+    def take_groups():
+        while not errors:
+            group = next(claims)
+            if group >= count:
+                return
+            try:
+                solve(group)
+            except Exception as error:
+                errors[group] = error
+
+    if concurrency > 1:
+        # Imported lazily: only wide solves need it.
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(concurrency - 1) as pool:
+            helpers = [pool.submit(take_groups)
+                       for _ in range(concurrency - 1)]
+            take_groups()
+            for helper in helpers:
+                helper.result()
+    else:
+        take_groups()
+    return errors
 
 
 def _solve_chunk(matrix, b, out, first, tol, max_iter, preconditioner,
                  x0) -> None:
     """Run block PCG on the columns of ``b``, writing into ``out``.
 
-    ``first`` is the chunk's offset in the caller's columns, for error
+    ``first`` is the group's offset in the caller's columns, for error
     messages. The working arrays hold the active columns only, as
     C-contiguous ``(n, active)`` arrays (``compress`` keeps that
     layout; fancy indexing along axis 1 would not); ``columns`` maps
@@ -246,7 +346,6 @@ def _solve_chunk(matrix, b, out, first, tol, max_iter, preconditioner,
     res_norm = np.sqrt(np.einsum("ij,ij->j", residual, residual))
     failed = res_norm > threshold
     if failed.any():
-        add_counter("cg_convergence_failures_total")
         worst = int(np.argmax(res_norm - threshold))
         raise ConvergenceError(
             f"conjugate gradient did not converge in {max_iter} "

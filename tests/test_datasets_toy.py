@@ -8,6 +8,27 @@ from repro.datasets import toy_example
 from repro.datasets.toy import BENIGN_SCENARIOS
 
 
+#: The exact backend's ΔE for the five Table 1 edges and ΔN for all 17
+#: Table 2 nodes at full precision (``benchmarks/results/table1_*.txt``
+#: and ``table2_*.txt`` round them to four digits). Nodes on no changed
+#: edge score exactly 0.
+GOLDEN_EDGE_SCORES = {
+    ("b1", "r1"): 128.51183417621115,
+    ("r7", "r8"): 149.57428571428383,
+    ("b4", "b5"): 51.93067837823713,
+    ("b1", "b3"): 0.49476523561909475,
+    ("b2", "b7"): 0.19607852952737861,
+}
+GOLDEN_NODE_SCORES = {
+    "b1": 129.00659941183025, "b2": 0.19607852952737861,
+    "b3": 0.49476523561909475, "b4": 51.93067837823713,
+    "b5": 51.93067837823713, "b6": 0.0, "b7": 0.19607852952737861,
+    "b8": 0.0, "r1": 128.51183417621115, "r2": 0.0, "r3": 0.0,
+    "r4": 0.0, "r5": 0.0, "r6": 0.0, "r7": 149.57428571428383,
+    "r8": 149.57428571428383, "r9": 0.0,
+}
+
+
 @pytest.fixture(scope="module")
 def toy():
     return toy_example()
@@ -87,6 +108,27 @@ class TestTable2Reproduction:
     def test_score_gap(self, toy, toy_scores):
         values = sorted(toy_scores.node_scores, reverse=True)
         assert values[5] > 10 * values[6]
+
+
+class TestGoldenValues:
+    """Tables 1 and 2 pinned within rtol 1e-9: an exact backend built
+    another way (about 1e-14 apart) passes, a formula change fails."""
+
+    def test_table1_edge_scores(self, toy, toy_scores):
+        matrix = toy_scores.edge_score_matrix()
+        uni = toy.graph.universe
+        actual = [matrix[uni.index_of(u), uni.index_of(v)]
+                  for u, v in GOLDEN_EDGE_SCORES]
+        np.testing.assert_allclose(actual, list(GOLDEN_EDGE_SCORES.values()),
+                                   rtol=1e-9, atol=0.0)
+
+    def test_table2_node_scores(self, toy, toy_scores):
+        uni = toy.graph.universe
+        assert sorted(GOLDEN_NODE_SCORES) == sorted(uni.labels)
+        actual = [toy_scores.node_scores[uni.index_of(label)]
+                  for label in GOLDEN_NODE_SCORES]
+        np.testing.assert_allclose(actual, list(GOLDEN_NODE_SCORES.values()),
+                                   rtol=1e-9, atol=0.0)
 
 
 class TestDetectOnToy:

@@ -1,5 +1,6 @@
 """Unit tests for the CG solver and the Laplacian solver."""
 
+import concurrent.futures
 import os
 import subprocess
 import sys
@@ -468,6 +469,192 @@ class TestBlockConjugateGradient:
             )
             digests.append(completed.stdout.strip())
         assert digests[0] == digests[1]
+
+
+class _RecordingExecutor(concurrent.futures.ThreadPoolExecutor):
+    """A thread pool that records the helper count of every pool built."""
+
+    built: list[int] = []
+
+    def __init__(self, max_workers=None, *args, **kwargs):
+        type(self).built.append(max_workers)
+        super().__init__(max_workers, *args, **kwargs)
+
+
+@pytest.fixture
+def recording_executor(monkeypatch):
+    _RecordingExecutor.built = []
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
+                        _RecordingExecutor)
+    return _RecordingExecutor.built
+
+
+class TestColumnGroups:
+    """Block CG's column groups depend on n and k only, so the thread
+    budget changes neither the bits nor the counters."""
+
+    @staticmethod
+    def _solve(monkeypatch, budget, lap, rhs, **kwargs):
+        monkeypatch.setattr(solvers, "_thread_budget", lambda: budget)
+        with collecting() as registry:
+            x = block_conjugate_gradient(lap, rhs, tol=1e-10, **kwargs)
+        return x, registry.counter_value("cg_iterations_total")
+
+    # At n = 2,000: k = 50 is two groups of 25, k = 64 three of 21-22,
+    # and k = 8 (16,000 entries, under the floor) one group.
+    @pytest.mark.parametrize("k, helpers", [(50, [1, 1]), (64, [1, 2]),
+                                            (8, [])])
+    def test_same_bits_for_every_budget(self, monkeypatch,
+                                        recording_executor, k, helpers):
+        lap, inverse_diag, rhs = _laplacian_system(2000, k, 4)
+        results = [self._solve(monkeypatch, budget, lap, rhs,
+                               preconditioner=inverse_diag)
+                   for budget in (1, 2, 3)]
+        # Budget 1 solves in the caller; budgets 2 and 3 add helpers.
+        assert recording_executor == helpers
+        x, iterations = results[0]
+        for other, other_iterations in results[1:]:
+            assert other.tobytes() == x.tobytes()
+            assert other_iterations == iterations
+        assert (np.linalg.norm(lap @ x - rhs, axis=0)
+                <= 1e-10 * np.linalg.norm(rhs, axis=0)).all()
+
+    def test_more_threads_than_cores(self, monkeypatch,
+                                     recording_executor):
+        # Eight groups of 25 on eight threads, switching as often as the
+        # interpreter allows: a group lost or run twice changes the
+        # output or the iteration count.
+        lap, inverse_diag, rhs = _laplacian_system(2000, 200, 9)
+        serial, iterations = self._solve(monkeypatch, 1, lap, rhs,
+                                         preconditioner=inverse_diag)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded, threaded_iterations = self._solve(
+                monkeypatch, 8, lap, rhs, preconditioner=inverse_diag,
+            )
+        finally:
+            sys.setswitchinterval(interval)
+        assert recording_executor == [7]
+        assert threaded.tobytes() == serial.tobytes()
+        assert threaded_iterations == iterations
+
+    def test_no_helpers_below_the_entry_floor(self, monkeypatch,
+                                              recording_executor):
+        # 600 rows x 50 columns: 30,000 entries, one group of 50.
+        lap, inverse_diag, rhs = _laplacian_system(600, 50, 5)
+        x, iterations = self._solve(monkeypatch, 3, lap, rhs,
+                                    preconditioner=inverse_diag)
+        serial, serial_iterations = self._solve(
+            monkeypatch, 1, lap, rhs, preconditioner=inverse_diag,
+        )
+        assert recording_executor == []
+        assert x.tobytes() == serial.tobytes()
+        assert iterations == serial_iterations
+
+    def test_no_helpers_when_two_groups_do_not_fit(self, monkeypatch,
+                                                   recording_executor):
+        lap, inverse_diag, rhs = _laplacian_system(2000, 50, 6)
+        threaded, iterations = self._solve(monkeypatch, 3, lap, rhs,
+                                           preconditioner=inverse_diag)
+        assert recording_executor == [1]
+        # Room for 30 columns: still two groups of 25, one at a time.
+        monkeypatch.setattr(solvers, "_CG_WORKING_SET_BYTES",
+                            30 * 6 * 8 * 2000)
+        alone, alone_iterations = self._solve(monkeypatch, 3, lap, rhs,
+                                              preconditioner=inverse_diag)
+        assert recording_executor == [1]
+        assert alone.tobytes() == threaded.tobytes()
+        assert alone_iterations == iterations
+
+    @pytest.mark.parametrize("failing", ["both", "second"])
+    def test_failure_is_the_same_for_every_budget(self, monkeypatch,
+                                                  failing):
+        lap, inverse_diag, rhs = _laplacian_system(2000, 50, 7)
+        if failing == "second":
+            rhs[:, :25] = 0.0  # the first group costs nothing
+        messages = []
+        for budget in (1, 2, 3):
+            monkeypatch.setattr(solvers, "_thread_budget",
+                                lambda budget=budget: budget)
+            with collecting() as registry:
+                with pytest.raises(ConvergenceError) as caught:
+                    block_conjugate_gradient(lap, rhs, tol=1e-10,
+                                             max_iter=2,
+                                             preconditioner=inverse_diag)
+            assert registry.counter_value(
+                "cg_convergence_failures_total") == 1
+            messages.append(str(caught.value))
+        assert messages == [messages[0]] * 3
+        # The lowest failing group is reported, by batch index.
+        worst = int(messages[0].split("worst column ")[1].split(":")[0])
+        assert "of 25 columns" in messages[0]
+        assert (worst < 25) == (failing == "both")
+
+    def test_output_independent_of_thread_count_across_processes(self):
+        # Two groups of 25: the default process runs them on its cores,
+        # the one with OPENBLAS_NUM_THREADS=1 one after the other.
+        script = (
+            "import hashlib, numpy as np\n"
+            "from repro.graphs import random_sparse_graph\n"
+            "from repro.linalg import block_conjugate_gradient, laplacian\n"
+            "graph = random_sparse_graph(3000, mean_degree=4.0, seed=8,"
+            " connected=True)\n"
+            "lap = laplacian(graph.adjacency)\n"
+            "rhs = np.random.default_rng(8).standard_normal((3000, 50))\n"
+            "rhs -= rhs.mean(axis=0)\n"
+            "x = block_conjugate_gradient(lap, rhs, tol=1e-10,"
+            " preconditioner=1.0 / lap.diagonal())\n"
+            "print(hashlib.sha256(x.tobytes()).hexdigest())\n"
+        )
+        digests = []
+        for threads in ("1", None):
+            env = {key: value for key, value in os.environ.items()
+                   if key not in ("OPENBLAS_NUM_THREADS",
+                                  "OMP_NUM_THREADS")}
+            if threads is not None:
+                env["OPENBLAS_NUM_THREADS"] = threads
+            env["PYTHONPATH"] = os.pathsep.join(
+                filter(None, [SRC_DIR, env.get("PYTHONPATH")])
+            )
+            completed = subprocess.run(
+                [sys.executable, "-c", script], env=env, check=True,
+                capture_output=True, text=True, timeout=120,
+            )
+            digests.append(completed.stdout.strip())
+        assert digests[0] == digests[1]
+
+
+class TestThreadBudget:
+    @pytest.fixture(autouse=True)
+    def four_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: {0, 1, 2, 3}, raising=False)
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+
+    @pytest.mark.parametrize("openblas, omp, budget", [
+        (None, None, 4),
+        ("2", "3", 2),  # OpenBLAS's own variable wins
+        (None, "3", 3),
+        ("abc", "3", 3),  # not an integer: ignored
+        ("0", "1", 1),  # not positive: ignored
+        ("-2", None, 4),
+        ("16", None, 4),  # never above the affinity mask
+    ])
+    def test_environment_lowers_the_budget(self, monkeypatch, openblas,
+                                           omp, budget):
+        for name, value in (("OPENBLAS_NUM_THREADS", openblas),
+                            ("OMP_NUM_THREADS", omp)):
+            if value is not None:
+                monkeypatch.setenv(name, value)
+        assert solvers._thread_budget() == budget
+
+    def test_cpu_count_without_affinity(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        monkeypatch.setenv("OMP_NUM_THREADS", "8")
+        assert solvers._thread_budget() == 3
 
 
 class TestStoredZeroWeights:
