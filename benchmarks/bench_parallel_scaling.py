@@ -148,8 +148,7 @@ def main(argv=None) -> int:
             "transition_approx",
             connected_graph(approx_nodes, seed=3,
                             num_snapshots=approx_snapshots),
-            CadDetector(method="approx", k=32, seed=3,
-                        seed_mode="content"),
+            CadDetector(method="approx", k=32, seed=3),
             {"shard_by": "transition", "method": "approx", "k": 32,
              "seed": 3},
         ),

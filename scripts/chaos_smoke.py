@@ -108,7 +108,7 @@ def assert_identical(ours, theirs, label: str) -> None:
 def gate_worker_kill() -> None:
     """Kill one worker mid-run; merged output must stay bitwise serial."""
     graph = sequence()
-    serial = CadDetector(seed=7, seed_mode="content").detect(
+    serial = CadDetector(seed=7).detect(
         graph, anomalies_per_transition=ANOMALIES
     )
     detector = ParallelCadDetector(

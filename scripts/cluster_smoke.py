@@ -97,8 +97,7 @@ def make_sequence(num_snapshots=6, n=60) -> DynamicGraph:
 
 
 def serial_baseline(graph: DynamicGraph):
-    return CadDetector(method="exact", seed=SEED,
-                       seed_mode="content").detect(
+    return CadDetector(method="exact", seed=SEED).detect(
         graph, anomalies_per_transition=3)
 
 

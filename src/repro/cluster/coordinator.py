@@ -22,7 +22,7 @@ Three layers, each thin:
   merge, δ selection, checkpointing — is inherited unchanged, which is
   what makes remote execution bit-for-bit equal to a serial
   ``detect()``: remote workers run the same task functions on the
-  same content-keyed randomness, and the merge never sees the
+  same edge-keyed JL projection, and the merge never sees the
   difference.
 """
 

@@ -10,7 +10,7 @@ spec plus the full snapshot sequence as raw CSR arrays, after which
 (:func:`~repro.parallel.worker.score_transition_chunk` /
 :func:`~repro.parallel.worker.score_component_shard`) on exactly the
 worker-local state a shared-memory pool worker would hold. Same code
-path, same content-keyed randomness, therefore the same bit-for-bit
+path, same edge-keyed JL projection, therefore the same bit-for-bit
 payload arrays a local run produces.
 
 Liveness mirrors the local pool too: a daemon thread heartbeats every

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .._validation import as_rng, check_positive_int
+from .._validation import check_positive_int
 from ..exceptions import DetectionError
 from ..graphs.snapshot import GraphSnapshot
-from ..linalg.embedding import CommuteTimeEmbedding
+from ..linalg.embedding import CommuteTimeEmbedding, projection_root
 from ..linalg.factorcache import (
     DEFAULT_DELTA_BUDGET,
     FactorCache,
@@ -33,26 +33,9 @@ from ..resilience.health import HealthMonitor, HealthReport
 #: O(n^3) pseudoinverse to the approximate embedding.
 DEFAULT_EXACT_LIMIT = 1500
 
-#: Recognised randomness-derivation modes for the approximate backend.
+#: Accepted ``seed_mode`` values, kept for compatibility: both select
+#: the one edge-keyed JL projection (:mod:`repro.linalg.embedding`).
 SEED_MODES = ("stream", "content")
-
-
-def snapshot_seed_sequence(root_entropy,
-                           snapshot: GraphSnapshot) -> np.random.SeedSequence:
-    """Content-keyed seed for one snapshot's JL projection.
-
-    Mixes a run-level root entropy with the snapshot's
-    :meth:`~repro.graphs.snapshot.GraphSnapshot.content_digest`, so the
-    derived randomness depends only on *what* is being embedded — not
-    on scoring order, process boundaries, or which worker picked the
-    task. This is the determinism keystone of :mod:`repro.parallel`.
-    """
-    digest = snapshot.content_digest()
-    words = [
-        int.from_bytes(digest[offset:offset + 8], "little")
-        for offset in range(0, len(digest), 8)
-    ]
-    return np.random.SeedSequence([int(root_entropy), *words])
 
 
 class CommuteTimeCalculator:
@@ -63,22 +46,19 @@ class CommuteTimeCalculator:
             ``exact_limit`` nodes, approximate beyond).
         k: embedding dimension for the approximate path (paper default
             50; results are stable for k > 10, see Figure 5).
-        seed: randomness for the JL projection. An integer seed yields
-            run-to-run reproducible scores.
+        seed: root of the JL projection, which is keyed by edge and
+            so the same for every snapshot, process and scoring order.
+            An integer seed is the root and yields run-to-run
+            reproducible scores; a Generator or ``None`` (fresh
+            entropy) draws the root once, here.
         solver: Laplacian solve backend for the embedding: ``"cg"``,
             ``"direct"``, ``"fallback"`` (CG → relaxed CG → LU → dense
             escalation), or a
             :class:`~repro.resilience.fallback.FallbackPolicy`.
         exact_limit: node-count crossover for ``method="auto"``.
         tol: solver tolerance for the embedding path.
-        seed_mode: how the approximate backend derives per-snapshot
-            randomness. ``"stream"`` (default, the historical
-            behaviour) consumes one shared rng stream in scoring
-            order; ``"content"`` derives each snapshot's projection
-            from the seed and the snapshot's content digest, making
-            approximate scores independent of scoring order and
-            process boundaries — the mode :mod:`repro.parallel`
-            relies on for bit-for-bit reproducibility.
+        seed_mode: accepted for compatibility and validated against
+            ``SEED_MODES``; both values select the same projection.
         factor_cache: cross-snapshot solve cache (see
             :mod:`repro.linalg.factorcache`): ``None``/``False``
             (disabled, the default), ``True``/``"shared"`` (the
@@ -122,14 +102,11 @@ class CommuteTimeCalculator:
             )
         self._method = method
         self._k = check_positive_int(k, "k")
-        self._rng = as_rng(seed)
+        self._root = projection_root(seed)
         self._solver = solver
         self._exact_limit = check_positive_int(exact_limit, "exact_limit")
         self._tol = tol
-        self._seed_mode = seed_mode
-        self._seed = seed
         self._method_override: str | None = None
-        self._cached_root_entropy: int | None = None
         self._health = HealthMonitor()
         # Spec-able form of the factor_cache argument (instances are
         # per-process and reported as "private" to remote workers).
@@ -171,51 +148,26 @@ class CommuteTimeCalculator:
         """Embedding dimension used on the approximate path."""
         return self._k
 
-    @property
-    def seed_mode(self) -> str:
-        """Randomness-derivation mode (``"stream"`` or ``"content"``)."""
-        return self._seed_mode
-
     def root_entropy(self) -> int:
-        """The run-level entropy anchoring content-keyed randomness.
-
-        Equal to the integer seed when one was given; drawn once (and
-        cached) from the generator/fresh entropy otherwise, so the
-        value is stable for the calculator's lifetime and can be
-        shipped to worker processes.
-        """
-        if self._cached_root_entropy is None:
-            if isinstance(self._seed, np.random.Generator):
-                self._cached_root_entropy = int(
-                    self._seed.integers(0, 2 ** 63)
-                )
-            elif self._seed is None:
-                self._cached_root_entropy = int(
-                    np.random.SeedSequence().generate_state(
-                        1, np.uint64
-                    )[0]
-                )
-            else:
-                self._cached_root_entropy = int(self._seed)
-        return self._cached_root_entropy
+        """The JL projection's run-level root (see ``seed``), stable
+        for the calculator's lifetime and shippable to workers."""
+        return self._root
 
     def spec(self) -> dict:
         """Picklable constructor arguments reproducing this calculator.
 
         The returned dictionary can be fed back to
         :class:`CommuteTimeCalculator` (or shipped to another process)
-        to build a calculator that scores identically under
-        ``seed_mode="content"``. The live rng *stream* is deliberately
-        not captured — content mode does not depend on it.
+        to build a calculator that scores identically: ``seed`` is the
+        projection root.
         """
         return {
             "method": self._method,
             "k": self._k,
-            "seed": self.root_entropy(),
+            "seed": self._root,
             "solver": self._solver,
             "exact_limit": self._exact_limit,
             "tol": self._tol,
-            "seed_mode": self._seed_mode,
             "factor_cache": self._factor_cache_mode,
             "cache_budget_mb": self._cache_budget_mb,
             "delta_budget": self._delta_budget,
@@ -245,14 +197,6 @@ class CommuteTimeCalculator:
     def health_report(self) -> HealthReport:
         """Immutable snapshot of the health accounting so far."""
         return self._health.report()
-
-    def rng_state(self) -> dict:
-        """JL-projection rng state, for checkpointing (plain data)."""
-        return self._rng.bit_generator.state
-
-    def set_rng_state(self, state: dict) -> None:
-        """Restore the JL-projection rng from :meth:`rng_state`."""
-        self._rng.bit_generator.state = state
 
     @property
     def method_override(self) -> str | None:
@@ -311,18 +255,17 @@ class CommuteTimeCalculator:
 
         Exact backends depend only on the graph, so the digest and
         method suffice. Approximate embeddings additionally depend on
-        the JL projection: they are shareable only under
-        ``seed_mode="content"`` (content-derived randomness), and the
-        key then pins every input of the projection and solve — so a
-        degraded-mode ``method_override`` can never be served an
-        entry built for the other backend or other parameters.
+        the projection root, so the key pins every input of the
+        projection and solve — a degraded-mode ``method_override`` can
+        never be served an entry built for the other backend or other
+        parameters. A solver given as a policy object has no stable
+        key, so its embeddings are not shared.
         """
         if method == "exact":
             return (digest, "exact")
-        if self._seed_mode != "content" or not isinstance(self._solver,
-                                                          str):
+        if not isinstance(self._solver, str):
             return None
-        return (digest, "approx", self._k, self.root_entropy(),
+        return (digest, "approx", self._k, self._root,
                 self._solver, float(self._tol))
 
     def _backend_for(self, snapshot: GraphSnapshot, method: str):
@@ -371,16 +314,10 @@ class CommuteTimeCalculator:
                        n=snapshot.num_nodes):
                 backend = laplacian_pseudoinverse(snapshot.adjacency)
         else:
-            if self._seed_mode == "content":
-                seed = np.random.default_rng(
-                    snapshot_seed_sequence(self.root_entropy(), snapshot)
-                )
-            else:
-                seed = self._rng
             with trace("commute.backend_build", method=method,
                        n=snapshot.num_nodes):
                 backend = CommuteTimeEmbedding(
-                    snapshot.adjacency, k=self._k, seed=seed,
+                    snapshot.adjacency, k=self._k, seed=self._root,
                     solver=self._solver, tol=self._tol,
                     health=self._health,
                 )

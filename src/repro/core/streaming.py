@@ -237,8 +237,8 @@ class StreamLifecycle:
         The state holds everything needed to resume the stream: the
         constructor ``config``, snapshots (CSR components), scored
         transitions, push count, health totals, and the stream type's
-        private state (the embedding rng state for CAD, the wrapped
-        detector's ``detector_state`` arrays for event streams). Feed
+        private state (none for CAD, the wrapped detector's
+        ``detector_state`` arrays for event streams). Feed
         it to :meth:`restore`, or persist it with
         :func:`~repro.resilience.checkpoint.write_checkpoint` (done
         automatically when ``path`` is given).
@@ -299,8 +299,10 @@ class StreamLifecycle:
         the inner detector's construction arguments (``method``,
         ``k``, ``solver``, ...), which should match the original run.
         The threshold is replayed deterministically from the stored
-        scores, so a restored stream (of the exact backend, for CAD)
-        finalises to the same report as an uninterrupted one.
+        scores, so a restored stream finalises to the same report as an
+        uninterrupted one (for an approximate CAD stream, when it is
+        restored with the same integer ``seed``: the seed keys the JL
+        projection).
 
         Raises:
             CheckpointError: on a foreign, corrupt, or wrong-version
@@ -542,10 +544,9 @@ class StreamingCadDetector(StreamLifecycle):
         }
 
     def _private_state(self) -> dict[str, Any]:
-        return {"rng_state": self._detector.calculator.rng_state()}
+        return {}
 
     def _load_private_state(self, state: dict[str, Any]) -> None:
         # One selection over the restored scores rebuilds the online δ
         # exactly, as replaying every update would.
         self._selector.extend(self._scored)
-        self._detector.calculator.set_rng_state(state["rng_state"])

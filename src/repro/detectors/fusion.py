@@ -44,12 +44,11 @@ DEFAULT_MEMBERS = ("cad", "act", "lad", "invariant")
 
 def _make_member(name: str, seed):
     if name == "cad":
-        # Content-mode seeding makes the approximate backend a pure
-        # function of each snapshot, so a restored fusion stream
-        # recomputes identical CAD scores with a cold cache.
+        # A fixed root makes the approximate backend a pure function
+        # of each snapshot, so a restored fusion stream recomputes
+        # identical CAD scores with a cold cache.
         return CadDetector(method="auto",
-                           seed=0 if seed is None else seed,
-                           seed_mode="content")
+                           seed=0 if seed is None else seed)
     if name == "act":
         return ActDetector(seed=seed)
     if name == "lad":
@@ -240,8 +239,9 @@ class FusionDetector(EventScoreDetector):
         """Member substates and calibration histories, flattened.
 
         Member substates are prefixed ``"<member>."``; per-member event
-        histories live under ``"history.<member>"``. The CAD member is
-        content-seeded and therefore needs no serialized state.
+        histories live under ``"history.<member>"``. The CAD member's
+        JL projection is keyed by edge under a fixed root, so it needs
+        no serialized state.
         """
         state: dict[str, np.ndarray] = {}
         for name in self._member_names:

@@ -148,10 +148,7 @@ class StreamingDetector(StreamLifecycle):
         }
 
     def _private_state(self) -> dict[str, Any]:
-        return {
-            "rng_state": None,
-            "detector_state": self._detector.streaming_state(),
-        }
+        return {"detector_state": self._detector.streaming_state()}
 
     def _load_private_state(self, state: dict[str, Any]) -> None:
         self._detector.load_streaming_state(

@@ -263,9 +263,8 @@ class GraphSnapshot:
         Two snapshots over equal-size universes have equal digests
         exactly when their canonical CSR matrices match entry for
         entry. The digest is stable across processes and platforms,
-        which is what lets the parallel engine derive *content-keyed*
-        randomness (the same snapshot gets the same JL projection in
-        every worker) and lets checkpoints fingerprint their input.
+        which lets the commute-time backend caches key on content and
+        lets checkpoints fingerprint their input.
 
         Memoized: snapshots are immutable, so the digest is computed at
         most once per instance (the backend cache and the factor cache

@@ -17,6 +17,11 @@ Projecting the ``m``-dimensional rows with a random Rademacher matrix
 
 The per-node embedding ``x_i = sqrt(V_G) * Z[:, i]`` therefore has
 ``||x_i - x_j||^2 ~= c(i, j)``.
+
+``Q``'s column for edge ``(i, j)`` is a pure function of a run-level
+root and the edge (:func:`edge_signs`), so every snapshot of a run,
+in any process or order, is sketched with the same ``Q`` and the JL
+errors of ``c_t`` and ``c_{t+1}`` largely cancel in CAD's ``|Δc|``.
 """
 
 from __future__ import annotations
@@ -32,6 +37,45 @@ from .solvers import make_solver
 
 _PROJECTION_CHUNK = 262_144  # edges per chunk when sketching Q W^{1/2} B
 _PAIR_CHUNK = 65_536  # pairs per chunk of (pairs, k) gaps in commute_times
+
+
+def projection_root(seed) -> int:
+    """The JL projection's root for ``seed``: an integer seed itself,
+    else one ``integers(0, 2**63)`` draw from ``as_rng(seed)`` (which
+    rejects negative and non-integer seeds)."""
+    rng = as_rng(seed)
+    if isinstance(seed, (int, np.integer)):
+        return int(seed)
+    return int(rng.integers(0, 2 ** 63))
+
+
+def _splitmix64(x: np.ndarray) -> np.ndarray:
+    """splitmix64 of each element of a uint64 array (wraps mod 2**64)."""
+    z = x + np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> 30)) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> 27)) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> 31)
+
+
+def edge_signs(root: int, endpoints: np.ndarray, k: int) -> np.ndarray:
+    """``(m, k)`` Rademacher signs (``+-1.0``) of the ``(m, 2)`` edges
+    ``(i, j)``, ``i < j``, under a non-negative projection root.
+
+    Sign ``d`` of an edge is bit ``d % 64`` of word ``d // 64``, where
+    word ``b`` is ``splitmix64(splitmix64(((i << 32) | j) ^ key) + b)``
+    and ``key`` is the root's 64-bit ``SeedSequence`` state. Bits
+    unpack from little-endian bytes: the same signs on every platform.
+    """
+    key = np.random.SeedSequence(root).generate_state(1, np.uint64)
+    endpoints = np.asarray(endpoints).astype(np.uint64)
+    edge = (endpoints[:, 0] << 32) | endpoints[:, 1]
+    mixed = _splitmix64(edge ^ key)
+    words = _splitmix64(
+        mixed[:, None] + np.arange(-(-k // 64), dtype=np.uint64)
+    )
+    bits = np.unpackbits(words.astype("<u8").view(np.uint8), axis=1,
+                         bitorder="little")[:, :k]
+    return bits * 2.0 - 1.0
 
 
 def suggest_embedding_dimension(n: int, epsilon: float = 0.5) -> int:
@@ -55,7 +99,8 @@ class CommuteTimeEmbedding:
         adjacency: symmetric non-negative adjacency matrix (dense or
             sparse). Must contain at least one edge.
         k: embedding dimension (paper's ``k_RP``; > 10 recommended).
-        seed: int seed or numpy Generator for the JL projection.
+        seed: the JL projection's root (:func:`projection_root`): an
+            integer is used as is; a Generator or ``None`` draws one.
         solver: ``"cg"``, ``"direct"``, ``"fallback"``, or a
             :class:`~repro.resilience.fallback.FallbackPolicy` for the
             Laplacian solve backend.
@@ -85,12 +130,12 @@ class CommuteTimeEmbedding:
             raise EmbeddingError(
                 "commute-time embedding needs a graph with at least one edge"
             )
-        rng = as_rng(seed)
+        root = projection_root(seed)
 
         with trace("embedding.build", n=matrix.shape[0], k=k):
             add_counter("embeddings_built_total")
             incidence, weights = incidence_factors(matrix)
-            sketch = _sketch_weighted_incidence(incidence, weights, k, rng)
+            sketch = _sketch_weighted_incidence(incidence, weights, k, root)
 
             laplacian_solver = make_solver(matrix, solver=solver, tol=tol,
                                            health=health)
@@ -212,10 +257,13 @@ def estimate_embedding_error(adjacency: sp.spmatrix | np.ndarray,
 def _sketch_weighted_incidence(incidence: sp.csr_matrix,
                                weights: np.ndarray,
                                k: int,
-                               rng: np.random.Generator) -> np.ndarray:
+                               root: int) -> np.ndarray:
     """Compute ``Y = Q W^{1/2} B`` without materialising Q.
 
-    ``Q`` is a ``(k, m)`` Rademacher matrix with entries ``+-1/sqrt(k)``.
+    ``Q`` is a ``(k, m)`` Rademacher matrix with entries ``+-1/sqrt(k)``,
+    column ``e`` keyed by edge ``e``'s endpoints (:func:`edge_signs`).
+    Each incidence row holds ``+1`` at ``i`` then ``-1`` at ``j > i``,
+    so its column indices are the edge's endpoints in key order.
     Processing edges in chunks keeps peak memory at
     ``O(chunk * k)`` regardless of the edge count ``m``.
 
@@ -228,9 +276,10 @@ def _sketch_weighted_incidence(incidence: sp.csr_matrix,
         return sketch_t.T
     scale = 1.0 / np.sqrt(k)
     sqrt_weights = np.sqrt(weights)
+    endpoints = incidence.indices.reshape(m, 2)
     for start in range(0, m, _PROJECTION_CHUNK):
         stop = min(start + _PROJECTION_CHUNK, m)
-        signs = rng.integers(0, 2, size=(stop - start, k)) * 2.0 - 1.0
+        signs = edge_signs(root, endpoints[start:stop], k)
         signs *= scale * sqrt_weights[start:stop, None]
         # (n x chunk sparse) @ (chunk x k dense) accumulates Y^T.
         sketch_t += incidence[start:stop].T @ signs

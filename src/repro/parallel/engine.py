@@ -7,8 +7,9 @@ that scores a sequence with a process pool instead of a loop:
    (:mod:`repro.parallel.shm`);
 2. work is decomposed along the transition or component axis
    (:mod:`repro.parallel.sharding`);
-3. pool workers score their shards with worker-local calculators under
-   content-keyed randomness (:mod:`repro.parallel.worker`);
+3. pool workers score their shards with worker-local calculators that
+   share the parent's edge-keyed JL projection
+   (:mod:`repro.parallel.worker`);
 4. the parent merges payloads back in transition order
    (:mod:`repro.parallel.merge`), selects δ, and builds the report
    with the exact serial code path.
@@ -125,11 +126,10 @@ class ParallelCadDetector(CadDetector):
             injecting deterministic process faults into workers (test
             and chaos-drill hook).
         **options: commute-time backend configuration, as in
-            :class:`~repro.core.cad.CadDetector`, except ``seed_mode``:
-            randomness always runs in ``seed_mode="content"`` so worker
-            scheduling cannot influence scores. Every worker rebuilds
+            :class:`~repro.core.cad.CadDetector`. Every worker rebuilds
             the parent's calculator from its
-            :meth:`~repro.core.commute.CommuteTimeCalculator.spec`.
+            :meth:`~repro.core.commute.CommuteTimeCalculator.spec`, whose
+            ``seed`` keys the same JL projection in every process.
             With a factor cache (:mod:`repro.linalg.factorcache`) each
             pool worker gets its own process-local cache
             (``"shared"`` is shared *within* a worker process across
@@ -171,7 +171,7 @@ class ParallelCadDetector(CadDetector):
         self._heartbeat_interval = heartbeat_interval
         self._heartbeat_timeout = float(heartbeat_timeout)
         self._chaos = chaos
-        super().__init__(seed_mode="content", **options)
+        super().__init__(**options)
         #: Per-worker health reports of the last run, keyed by worker id
         #: (process id, or ``ckpt:``-prefixed for restored state).
         self.last_worker_health: dict[str, HealthReport] = {}
@@ -192,11 +192,9 @@ class ParallelCadDetector(CadDetector):
         """Parallel twin of an existing serial ``CadDetector``.
 
         Copies the serial detector's backend configuration (method, k,
-        root entropy, solver, limits) so that — under
-        ``seed_mode="content"`` — both score identically.
+        projection root, solver, limits), so both score identically.
         """
         spec = detector.calculator.spec()
-        spec.pop("seed_mode", None)
         return cls(workers=workers, shard_by=shard_by, **spec, **options)
 
     @property

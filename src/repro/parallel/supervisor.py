@@ -139,7 +139,7 @@ class SupervisedPool:
         self._backoff_cap = float(backoff_cap)
         self._poll_interval = float(poll_interval)
         self._transport = transport or LocalProcessTransport(
-            config, self._heartbeat_interval
+            config, self._heartbeat_interval, self._workers
         )
         self._live: list[_WorkerHandle] = []
         self._pending: deque[_Task] = deque()

@@ -29,12 +29,14 @@ from __future__ import annotations
 
 import abc
 import multiprocessing
+import os
 import pickle
 import queue as queue_module
 import threading
 from typing import Any, Callable
 
 from ..exceptions import ParallelExecutionError
+from ..linalg.solvers import _thread_budget
 from .worker import WorkerConfig, init_worker, set_task_attempt
 
 
@@ -122,9 +124,11 @@ class ShardTransport(abc.ABC):
 
 
 def _worker_main(slot: int, config: WorkerConfig, inbox, outbox,
-                 heartbeat_interval: float | None) -> None:
-    """Worker process body: init once, then execute tasks until the
-    ``None`` sentinel arrives."""
+                 heartbeat_interval: float | None, threads: int) -> None:
+    """Worker process body: cap block CG at ``threads`` threads, init
+    once, then execute tasks until the ``None`` sentinel arrives."""
+    # The solvers read the variable on every call (``_thread_budget``).
+    os.environ["OPENBLAS_NUM_THREADS"] = str(threads)
     try:
         init_worker(config)
     except BaseException as error:  # noqa: BLE001 - shipped to parent
@@ -209,12 +213,15 @@ class LocalProcessChannel(WorkerChannel):
 
 
 class LocalProcessTransport(ShardTransport):
-    """Spawn one local worker process per channel (the default)."""
+    """Spawn one local worker process per channel (the default); each
+    of the pool's ``workers`` gets an equal share (at least one) of the
+    parent's block-CG threads."""
 
     def __init__(self, config: WorkerConfig,
-                 heartbeat_interval: float | None):
+                 heartbeat_interval: float | None, workers: int):
         self._config = config
         self._heartbeat_interval = heartbeat_interval
+        self._threads = max(1, _thread_budget() // workers)
         self._context = multiprocessing.get_context()
 
     def open_channel(self, slot: int) -> LocalProcessChannel:
@@ -223,7 +230,7 @@ class LocalProcessTransport(ShardTransport):
         process = self._context.Process(
             target=_worker_main,
             args=(slot, self._config, inbox, outbox,
-                  self._heartbeat_interval),
+                  self._heartbeat_interval, self._threads),
             name=f"repro-worker-{slot}",
             daemon=True,
         )

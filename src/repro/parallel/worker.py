@@ -7,9 +7,10 @@ snapshots, and builds a worker-local
 calculator's :meth:`~repro.core.commute.CommuteTimeCalculator.spec`.
 Two deliberate choices keep worker output independent of scheduling:
 
-* the calculator runs the parent's ``seed_mode="content"`` with the
-  parent's root entropy, so a snapshot's JL projection depends only on
-  the snapshot, never on which worker scores it or in what order;
+* the calculator gets the parent's projection root, and the JL
+  projection is keyed by edge under it, so a snapshot's embedding
+  depends only on the snapshot, never on which worker scores it or in
+  what order;
 * the commute-time method is resolved in the *parent* from the full
   node count and forced here — a 500-node component of a 5000-node
   graph must not silently switch from the approximate to the exact

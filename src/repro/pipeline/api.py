@@ -77,11 +77,8 @@ def _resolve_detector(detector: str | Detector,
     parallel_cad = workers is not None and workers > 1
     if isinstance(detector, str):
         if parallel_cad and detector.lower() == "cad":
-            kwargs = dict(detector_kwargs)
-            # The parallel engine always runs content-keyed seeding.
-            kwargs.pop("seed_mode", None)
             return ParallelCadDetector(
-                workers=workers, shard_by=shard_by, **kwargs
+                workers=workers, shard_by=shard_by, **detector_kwargs
             )
         return make_detector(detector, **detector_kwargs)
     if detector_kwargs:

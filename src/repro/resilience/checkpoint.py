@@ -166,7 +166,6 @@ def write_checkpoint(state: dict[str, Any], path: str | Path) -> None:
         "scored": scored_meta,
         "push_count": state["push_count"],
         "health": state["health"],
-        "rng_state": state["rng_state"],
         "detector_state": sorted(detector_state),
     }
     write_npz_document(
@@ -178,6 +177,9 @@ def write_checkpoint(state: dict[str, Any], path: str | Path) -> None:
 
 def read_checkpoint(path: str | Path) -> dict[str, Any]:
     """Read a checkpoint written by :func:`write_checkpoint`.
+
+    Archives from releases that drew a fresh JL projection per snapshot
+    also carry that projection's ``rng_state``; it is ignored.
 
     Returns:
         The reconstructed plain-data state dictionary, validated and
@@ -219,6 +221,5 @@ def read_checkpoint(path: str | Path) -> dict[str, Any]:
         "scored": scored,
         "push_count": meta["push_count"],
         "health": meta["health"],
-        "rng_state": meta["rng_state"],
         "detector_state": detector_state,
     }

@@ -44,6 +44,8 @@ class SessionConfig:
     Mirrors the stream constructors (see :meth:`detector_kwargs`).
     ``seed`` is restricted to an integer (or ``None``) so the
     configuration survives the eviction checkpoint's JSON sidecar.
+    ``seed_mode`` is validated and kept in sidecars, but selects
+    nothing: every CAD session keys its JL projection by edge.
     """
 
     anomalies_per_transition: int = 5
@@ -85,7 +87,6 @@ class SessionConfig:
                 "seed": self.seed,
                 "solver": self.solver,
                 "exact_limit": self.exact_limit,
-                "seed_mode": self.seed_mode,
                 "factor_cache": "shared" if self.factor_cache else None,
                 "cache_budget_mb": self.cache_budget_mb,
             }

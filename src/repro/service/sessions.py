@@ -700,12 +700,11 @@ class SessionManager:
         """Whether the parallel engine reproduces serial pushes exactly.
 
         Only CAD streams parallelize (the engine shards commute-time
-        scoring); transition sharding is bit-for-bit, but only when
-        randomness cannot diverge: the exact backend uses none, and the
-        approx backend matches only under content-keyed seeding. The
-        delta tier (``delta_budget > 0``: a factor cache's default, or
-        ``incremental``) advances each ``L^+`` from the previous
-        snapshot's, which a worker starting a chunk cold cannot do.
+        scoring); transition sharding is bit-for-bit on either backend,
+        except with the delta tier (``delta_budget > 0``: a factor
+        cache's default, or ``incremental``), which advances each
+        ``L^+`` from the previous snapshot's — a worker starting a
+        chunk cold cannot do that.
         """
         if not isinstance(detector, StreamingCadDetector):
             return False
@@ -713,11 +712,7 @@ class SessionManager:
             return False
         if detector.latest_snapshot is None:
             return False
-        calculator = detector.detector.calculator
-        if calculator.delta_budget > 0:
-            return False
-        method = calculator.resolve_method(batch[0].num_nodes)
-        return method == "exact" or calculator.seed_mode == "content"
+        return detector.detector.calculator.delta_budget == 0
 
     def _ingest_parallel(self, detector: StreamingCadDetector,
                          batch: list[GraphSnapshot]) -> list[Any]:

@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
+from repro import CadDetector, DynamicGraph, ParallelCadDetector
 from repro.core import CommuteTimeCalculator
+from repro.core.commute import SEED_MODES
+from repro.core.streaming import StreamingCadDetector
 from repro.exceptions import DetectionError
-from repro.graphs import GraphSnapshot
+from repro.graphs import GraphSnapshot, perturb_weights, random_sparse_graph
 from repro.linalg import FactorCache, commute_time_matrix
 from repro.linalg.factorcache import DEFAULT_DELTA_BUDGET
 from repro.observability import collecting
@@ -271,21 +274,27 @@ class TestFactorCache:
         np.testing.assert_allclose(values, expected, atol=1e-8)
         assert cache.stats()["corrupt"] == 1
 
-    def test_approx_cacheable_only_in_content_mode(
+    def test_approx_cacheable_under_either_seed_mode(
             self, random_connected_graph):
+        # The projection is keyed by edge under the root, so an
+        # embedding is cacheable whichever (ignored) seed_mode is given.
         cache = FactorCache(budget_mb=64)
+        rows, cols = np.array([0]), np.array([1])
         stream = CommuteTimeCalculator(method="approx", k=16, seed=1,
                                        factor_cache=cache,
                                        seed_mode="stream")
-        stream.pairwise(random_connected_graph, np.array([0]),
-                        np.array([1]))
-        assert len(cache) == 0  # stream-mode embeddings never cached
+        expected = stream.pairwise(random_connected_graph, rows, cols)
+        assert len(cache) == 1
         content = CommuteTimeCalculator(method="approx", k=16, seed=1,
                                         factor_cache=cache,
                                         seed_mode="content")
-        content.pairwise(random_connected_graph, np.array([0]),
-                         np.array([1]))
+        with collecting() as registry:
+            values = content.pairwise(random_connected_graph, rows, cols)
+        assert registry.counter_value(
+            "commute_backend_builds_total", {"method": "approx"}
+        ) == 0
         assert len(cache) == 1
+        assert np.array_equal(values, expected)
 
     def test_exact_and_approx_keys_disjoint(self,
                                             random_connected_graph):
@@ -312,3 +321,85 @@ class TestFactorCache:
     def test_rejects_negative_delta_budget(self):
         with pytest.raises(DetectionError, match="delta_budget"):
             CommuteTimeCalculator(method="exact", delta_budget=-1)
+
+
+def _approx_snapshots() -> list[GraphSnapshot]:
+    snapshots = [random_sparse_graph(60, mean_degree=4.0, seed=3,
+                                     connected=True)]
+    for step in range(4):
+        snapshots.append(perturb_weights(snapshots[-1], relative_noise=0.2,
+                                         seed=10 + step))
+    return snapshots
+
+
+def _assert_scores_equal(first, second) -> None:
+    assert len(first) == len(second)
+    for a, b in zip(first, second):
+        assert np.array_equal(a.edge_scores, b.edge_scores)
+        assert np.array_equal(a.node_scores, b.node_scores)
+
+
+class TestSeedModeCompatibility:
+    """``seed_mode`` is validated, then ignored: both values select the
+    one edge-keyed projection."""
+
+    OPTIONS = {"method": "approx", "k": 8, "seed": 5}
+
+    def test_batch_modes_and_engines_score_identically(self):
+        graph = DynamicGraph(_approx_snapshots())
+        runs = [
+            CadDetector(seed_mode=mode, **self.OPTIONS).score_sequence(graph)
+            for mode in SEED_MODES
+        ] + [
+            ParallelCadDetector(
+                workers=2, shard_by="transition", seed_mode=mode,
+                **self.OPTIONS,
+            ).score_sequence(graph)
+            for mode in SEED_MODES
+        ]
+        for run in runs[1:]:
+            _assert_scores_equal(runs[0], run)
+
+    def test_stream_modes_finalize_identically(self):
+        reports = []
+        for mode in SEED_MODES:
+            stream = StreamingCadDetector(anomalies_per_transition=2,
+                                          warmup=1, seed_mode=mode,
+                                          **self.OPTIONS)
+            for snapshot in _approx_snapshots():
+                stream.push(snapshot)
+            reports.append(stream.finalize())
+        assert reports[0].threshold == reports[1].threshold
+        _assert_scores_equal(
+            [t.scores for t in reports[0].transitions],
+            [t.scores for t in reports[1].transitions],
+        )
+
+    @pytest.mark.parametrize("factory", [
+        CadDetector, StreamingCadDetector, ParallelCadDetector,
+    ])
+    def test_unknown_mode_raises(self, factory):
+        with pytest.raises(DetectionError, match="seed_mode"):
+            factory(seed_mode="dice")
+
+    def test_checkpoint_carrying_rng_state_restores(self):
+        # Earlier releases stored the projection rng's state; it is
+        # read and ignored.
+        snapshots = _approx_snapshots()
+        uninterrupted = StreamingCadDetector(anomalies_per_transition=2,
+                                             warmup=1, **self.OPTIONS)
+        first_half = StreamingCadDetector(anomalies_per_transition=2,
+                                          warmup=1, **self.OPTIONS)
+        for snapshot in snapshots:
+            uninterrupted.push(snapshot)
+        for snapshot in snapshots[:2]:
+            first_half.push(snapshot)
+        state = first_half.checkpoint()
+        state["rng_state"] = np.random.default_rng(0).bit_generator.state
+        resumed = StreamingCadDetector.restore(state, **self.OPTIONS)
+        for snapshot in snapshots[2:]:
+            resumed.push(snapshot)
+        expected, report = uninterrupted.finalize(), resumed.finalize()
+        assert report.threshold == expected.threshold
+        _assert_scores_equal([t.scores for t in expected.transitions],
+                             [t.scores for t in report.transitions])

@@ -26,6 +26,7 @@ from repro.datasets import (
 from repro.evaluation import (
     auc_score,
     compare_detectors,
+    evaluate_detector,
     node_ranking_scores,
     rank_of,
 )
@@ -78,6 +79,21 @@ class TestSyntheticComparison:
         assert cad > 0.85
         for name in ("ADJ", "COM", "ACT", "CLC"):
             assert cad > results[name].mean_auc + 0.1, name
+
+
+class TestApproxAucFloor:
+    def test_k10_close_to_exact(self):
+        """Figure 5 at k = 10: with one edge-keyed projection per run,
+        the JL errors of consecutive snapshots cancel in |Δc|."""
+        instances = []
+        for seed in range(12):
+            instance = generate_gaussian_mixture_instance(n=240,
+                                                          seed=seed)
+            instances.append((instance.graph, instance.node_labels))
+        evaluation = evaluate_detector(
+            CadDetector(method="approx", k=10, seed=1), instances
+        )
+        assert evaluation.mean_auc >= 0.96
 
 
 class TestEnronEndToEnd:

@@ -200,4 +200,3 @@ def test_from_detector_copies_backend_configuration():
     parallel = ParallelCadDetector.from_detector(serial, workers=2)
     assert parallel.calculator.spec()["k"] == 17
     assert parallel.calculator.spec()["seed"] == 99
-    assert parallel.calculator.seed_mode == "content"

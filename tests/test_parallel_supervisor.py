@@ -16,8 +16,13 @@ from repro import (
     ParallelCadDetector,
     ParallelExecutionError,
 )
+from repro.core.commute import CommuteTimeCalculator
 from repro.graphs import perturb_weights, random_sparse_graph
+from repro.linalg.solvers import _thread_budget
 from repro.observability import build_metrics_document, collecting
+from repro.parallel.shm import SharedGraphSequence
+from repro.parallel.supervisor import SupervisedPool
+from repro.parallel.worker import WorkerConfig
 from repro.resilience.chaos import ChaosSpec
 
 
@@ -178,3 +183,41 @@ class TestObservability:
             graph, anomalies_per_transition=3
         )
         assert_reports_identical(resumed, serial)
+
+
+def _worker_thread_budget(_task) -> int:
+    return _thread_budget()
+
+
+class TestThreadShare:
+    """Local workers split the parent's block-CG thread budget."""
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_each_worker_reads_its_share(self, monkeypatch, workers):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")
+        parent = _thread_budget()
+        expected = max(1, parent // workers)
+        calculator = CommuteTimeCalculator(method="exact").spec()
+        with SharedGraphSequence.publish(make_sequence()) as store:
+            config = WorkerConfig(sequence=store.spec,
+                                  calculator=calculator)
+            with SupervisedPool(workers, config) as pool:
+                budgets = list(pool.run(
+                    [(_worker_thread_budget, task)
+                     for task in range(2 * workers)]
+                ))
+        assert budgets == [expected] * (2 * workers)
+        assert _thread_budget() == parent
+
+    def test_scores_independent_of_share(self):
+        # Column groups depend on n and k only (two groups of 25 here),
+        # so workers on their share score as the parent does on its
+        # whole budget.
+        graph = make_sequence(n=700)
+        options = {"method": "approx", "k": 50, "seed": 4}
+        serial = CadDetector(**options).detect(
+            graph, anomalies_per_transition=3)
+        parallel = ParallelCadDetector(
+            workers=4, shard_by="transition", **options
+        ).detect(graph, anomalies_per_transition=3)
+        assert_reports_identical(serial, parallel)

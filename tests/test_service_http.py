@@ -135,6 +135,24 @@ class TestRoutes:
         assert status == 400
         assert "triple" in body["message"]
 
+    def test_seed_mode_accepted_and_ignored(self, service):
+        _, client = service
+        payloads = random_payloads(seed=21)
+        reports = []
+        for mode in ("stream", "content"):
+            sid = client.post("/sessions", {
+                "warmup": 2, "seed": 7, "method": "approx", "k": 8,
+                "seed_mode": mode,
+            })[2]["session"]
+            for payload in payloads:
+                assert client.post(f"/sessions/{sid}/snapshots",
+                                   payload)[0] == 200
+            reports.append(client.get(f"/sessions/{sid}/report")[2])
+        assert entries(reports[0]) == entries(reports[1])
+        status, _, body = client.post("/sessions", {"seed_mode": "dice"})
+        assert status == 400
+        assert "seed_mode" in body["message"]
+
     def test_session_listing(self, service):
         _, client = service
         first = client.post("/sessions")[2]["session"]

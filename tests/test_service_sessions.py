@@ -238,9 +238,18 @@ class TestParallelBatches:
     @pytest.mark.parametrize("config", [
         {"seed": 3, "warmup": 2},
         {"seed": 3, "warmup": 2, "factor_cache": True},
-    ], ids=["default", "factor_cache"])
+        {"seed": 3, "warmup": 2, "method": "approx", "k": 8},
+    ], ids=["default", "factor_cache", "approx"])
     def test_parallel_batch_matches_serial(self, tmp_path, payloads,
-                                           config):
+                                           config, monkeypatch):
+        batches = []
+        ingest_parallel = SessionManager._ingest_parallel
+
+        def spy(manager, detector, batch):
+            batches.append(len(batch))
+            return ingest_parallel(manager, detector, batch)
+
+        monkeypatch.setattr(SessionManager, "_ingest_parallel", spy)
         # Cache entries of the serial run must not reach the forked
         # workers, where they would mask a divergence.
         reset_shared_cache()
@@ -259,6 +268,9 @@ class TestParallelBatches:
             assert response["pushed"] == len(payloads) - 1
             assert entries(parallel.report(b)) == \
                 entries(serial.report(a))
+            expected = [] if config.get("factor_cache") else \
+                [len(payloads) - 1]
+            assert batches == expected
         finally:
             reset_shared_cache()
 
