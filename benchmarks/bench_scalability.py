@@ -75,27 +75,31 @@ def workloads():
 
 
 def _detectors():
+    """Detector factories: every timed call scores with a new detector,
+    since a reused CAD or COM detector serves a repeat from its
+    embedding cache."""
     return {
-        "CAD": CadDetector(method="approx", k=16, seed=0),
-        "COM": ComDetector(method="approx", k=16, seed=0),
-        "ACT": ActDetector(),
-        "ADJ": AdjDetector(),
-        "CLC": ClcDetector(backend="scipy"),
+        "CAD": lambda: CadDetector(method="approx", k=16, seed=0),
+        "COM": lambda: ComDetector(method="approx", k=16, seed=0),
+        "ACT": ActDetector,
+        "ADJ": AdjDetector,
+        "CLC": lambda: ClcDetector(backend="scipy"),
     }
 
 
 def test_scalability_ordering_and_exponent(benchmark, workloads, emit):
     timings: dict[str, dict[int, float]] = {}
-    for name, detector in _detectors().items():
+    for name, make in _detectors().items():
         timings[name] = {}
         for n, instance in workloads.items():
             if name == "CLC" and n > CLC_MAX_N:
                 continue
             graph = instance.graph
+            # The fastest of time_callable's three repeats: one slow
+            # run (ACT at n = 30,000 is bimodal) cannot flip an order.
             result = time_callable(
                 f"{name}@{n}",
-                lambda d=detector, g=graph: d.score_sequence(g),
-                repeats=1,
+                lambda make=make, g=graph: make().score_sequence(g),
             )
             timings[name][n] = result.best
 

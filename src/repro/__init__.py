@@ -7,6 +7,10 @@ temporal-graph model, Laplacian solvers, an approximate commute-time
 embedding, the paper's baseline detectors, its dataset simulators and
 its evaluation harness.
 
+``import repro`` loads none of them: each public name, and each
+subpackage, is imported on first access (PEP 562), so a caller pays
+only for the layers it uses.
+
 Quick start::
 
     import repro
@@ -17,94 +21,67 @@ Quick start::
     print(report.summary())
 """
 
-from .baselines import (
-    ActDetector,
-    AdjDetector,
-    AfmDetector,
-    ClcDetector,
-    ComDetector,
-)
-from .core import (
-    CadDetector,
-    CommuteTimeCalculator,
-    DetectionReport,
-    Detector,
-    EventScoreDetector,
-    GenericDistanceDetector,
-    OnlineThresholdSelector,
-    StreamingCadDetector,
-    TransitionResult,
-    TransitionScores,
-    explain_node,
-    explain_transition,
-    select_global_threshold,
-)
-from .detectors import (
-    FusionDetector,
-    InvariantDetector,
-    LadDetector,
-    StreamingDetector,
-    create_detector,
-    graph_invariants,
-    invariant_matrix,
-    laplacian_signature,
-    list_methods,
-    method_names,
-    scan_statistics,
-)
-from .datasets import (
-    DblpLikeSimulator,
-    EnronLikeSimulator,
-    PrecipitationSimulator,
-    generate_dblp_instance,
-    generate_gaussian_mixture_instance,
-    generate_scalability_instance,
-    toy_example,
-)
-from .exceptions import (
-    CheckpointError,
-    DatasetError,
-    DetectionError,
-    EmbeddingError,
-    EvaluationError,
-    GraphConstructionError,
-    ParallelExecutionError,
-    ReproError,
-    SanitizationError,
-    SolverError,
-    ThresholdError,
-)
-from .graphs import (
-    DynamicGraph,
-    GraphSnapshot,
-    NodeUniverse,
-    SanitizationReport,
-    gaussian_similarity_graph,
-    knn_graph,
-    sanitize_adjacency,
-    sanitize_snapshot,
-    snapshot_from_edges,
-)
-from .linalg import (
-    CommuteTimeEmbedding,
-    LaplacianSolver,
-    commute_time_matrix,
-    laplacian,
-    laplacian_pseudoinverse,
-    sparsify,
-)
-from .parallel import ParallelCadDetector
-from .pipeline import detect, detect_windowed, make_detector
-from .resilience import (
-    FallbackPolicy,
-    FallbackSolver,
-    FaultInjector,
-    HealthReport,
-    read_checkpoint,
-    write_checkpoint,
-)
+from __future__ import annotations
+
+from importlib import import_module
 
 __version__ = "1.0.0"
+
+#: Where each public name is defined, by subpackage.
+_EXPORTS = {
+    "baselines": (
+        "ActDetector", "AdjDetector", "AfmDetector", "ClcDetector",
+        "ComDetector",
+    ),
+    "core": (
+        "CadDetector", "CommuteTimeCalculator", "DetectionReport",
+        "Detector", "EventScoreDetector", "GenericDistanceDetector",
+        "OnlineThresholdSelector", "StreamingCadDetector",
+        "TransitionResult", "TransitionScores", "explain_node",
+        "explain_transition", "select_global_threshold",
+    ),
+    "detectors": (
+        "FusionDetector", "InvariantDetector", "LadDetector",
+        "StreamingDetector", "create_detector", "graph_invariants",
+        "invariant_matrix", "laplacian_signature", "list_methods",
+        "method_names", "scan_statistics",
+    ),
+    "datasets": (
+        "DblpLikeSimulator", "EnronLikeSimulator", "PrecipitationSimulator",
+        "generate_dblp_instance", "generate_gaussian_mixture_instance",
+        "generate_scalability_instance", "toy_example",
+    ),
+    "exceptions": (
+        "CheckpointError", "DatasetError", "DetectionError",
+        "EmbeddingError", "EvaluationError", "GraphConstructionError",
+        "ParallelExecutionError", "ReproError", "SanitizationError",
+        "SolverError", "ThresholdError",
+    ),
+    "graphs": (
+        "DynamicGraph", "GraphSnapshot", "NodeUniverse",
+        "SanitizationReport", "gaussian_similarity_graph", "knn_graph",
+        "sanitize_adjacency", "sanitize_snapshot", "snapshot_from_edges",
+    ),
+    "linalg": (
+        "CommuteTimeEmbedding", "LaplacianSolver", "commute_time_matrix",
+        "laplacian", "laplacian_pseudoinverse", "sparsify",
+    ),
+    "parallel": ("ParallelCadDetector",),
+    "pipeline": ("detect", "detect_windowed", "make_detector"),
+    "resilience": (
+        "FallbackPolicy", "FallbackSolver", "FaultInjector", "HealthReport",
+        "read_checkpoint", "write_checkpoint",
+    ),
+}
+_ORIGIN = {name: module for module, names in _EXPORTS.items()
+           for name in names}
+
+#: The package's modules, reachable as attributes (``repro.graphs``).
+_SUBMODULES = frozenset({
+    "baselines", "cluster", "core", "datasets", "detectors", "evaluation",
+    "exceptions", "graphs", "linalg", "observability", "parallel",
+    "pipeline", "resilience", "service", "store",
+})
 
 __all__ = [
     "ActDetector",
@@ -181,3 +158,21 @@ __all__ = [
     "write_checkpoint",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    """Import what ``name`` refers to on first access, then bind it."""
+    if name in _ORIGIN:
+        value = getattr(import_module(f"{__name__}.{_ORIGIN[name]}"), name)
+    elif name in _SUBMODULES:
+        value = import_module(f"{__name__}.{name}")
+    else:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}"
+        )
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__) | _SUBMODULES)

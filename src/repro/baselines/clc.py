@@ -17,8 +17,6 @@ reference implementation the scipy path is tested against).
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import dijkstra as _scipy_dijkstra
 
 from ..exceptions import DetectionError
 from ..graphs.operations import closeness_centrality
@@ -69,6 +67,8 @@ def _scipy_closeness(snapshot: GraphSnapshot) -> np.ndarray:
     Matches :func:`repro.graphs.operations.closeness_centrality`
     exactly (similarity weights inverted into traversal costs).
     """
+    from scipy.sparse.csgraph import dijkstra
+
     n = snapshot.num_nodes
     if n == 1:
         return np.zeros(1)
@@ -76,7 +76,7 @@ def _scipy_closeness(snapshot: GraphSnapshot) -> np.ndarray:
     costs = adjacency.copy()
     if costs.nnz:
         costs.data = 1.0 / costs.data
-    distances = _scipy_dijkstra(costs, directed=False)
+    distances = dijkstra(costs, directed=False)
     reachable = np.isfinite(distances)
     counts = reachable.sum(axis=1)  # includes the source itself
     totals = np.where(reachable, distances, 0.0).sum(axis=1)

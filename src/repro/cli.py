@@ -29,7 +29,6 @@ import sys
 from collections.abc import Sequence
 from pathlib import Path
 
-from .core.explain import explain_node
 from .exceptions import ReproError
 from .graphs.io import (
     read_json,
@@ -45,9 +44,6 @@ from .observability import (
     get_logger,
     render_prometheus,
 )
-from .pipeline.api import DETECTOR_FACTORIES, detect, make_detector
-from .pipeline.report import render_table
-from .pipeline.serialize import write_report_json
 
 _READERS = {
     ".csv": read_temporal_edge_csv,
@@ -63,6 +59,20 @@ _WRITERS = {
 
 class _UsageError(Exception):
     """CLI usage problems (exit code 1, distinct from library errors)."""
+
+
+class _MethodNames:
+    """The ``--method`` choices, read from the method registry on first
+    use: the registry imports every detector, which no other subcommand
+    needs."""
+
+    def __iter__(self):
+        from .pipeline.api import DETECTOR_FACTORIES
+
+        return iter(sorted(DETECTOR_FACTORIES))
+
+    def __contains__(self, name) -> bool:
+        return name in list(self)
 
 
 def _load_graph(path: str, sanitize: str | None = None,
@@ -100,10 +110,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("detect", help="run a detector end to end")
     run.add_argument("path", help="temporal edge CSV file")
-    run.add_argument("--detector", "--method", dest="detector",
-                     default="cad", choices=sorted(DETECTOR_FACTORIES),
-                     help="registered detection method (see "
-                     "'cad-detect list-methods')")
+    method = run.add_argument("--detector", "--method", dest="detector",
+                              default="cad",
+                              help="registered detection method (see "
+                              "'cad-detect list-methods')")
+    # Set after add_argument, which formats the choices at once.
+    method.choices = _MethodNames()
     run.add_argument("-l", "--anomalies-per-transition", type=int,
                      default=5, help="average anomaly budget per "
                      "transition (drives the global delta selection)")
@@ -309,6 +321,8 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def _cmd_info(args) -> int:
+    from .pipeline.report import render_table
+
     graph = _load_graph(args.path)
     rows = [
         (position, snapshot.time, snapshot.num_edges,
@@ -322,6 +336,9 @@ def _cmd_info(args) -> int:
 
 
 def _cmd_detect(args) -> int:
+    from .pipeline.api import detect
+    from .pipeline.serialize import write_report_json
+
     sanitize = "raise" if args.strict else args.sanitize
     reports: list = []
     graph = _load_graph(args.path, sanitize=sanitize, reports=reports)
@@ -389,6 +406,7 @@ def _cmd_detect(args) -> int:
 
 def _cmd_list_methods(args) -> int:
     from .detectors.registry import list_methods
+    from .pipeline.report import render_table
 
     rows = [
         (method.name, method.family,
@@ -403,6 +421,9 @@ def _cmd_list_methods(args) -> int:
 
 
 def _cmd_explain(args) -> int:
+    from .core.explain import explain_node
+    from .pipeline.api import make_detector
+
     graph = _load_graph(args.path)
     if not 0 <= args.transition < graph.num_transitions:
         print(
@@ -530,6 +551,9 @@ def _cmd_cluster_worker(args) -> int:
 
 
 def _cmd_score(args) -> int:
+    from .pipeline.api import make_detector
+    from .pipeline.report import render_table
+
     graph = _load_graph(args.path)
     if not 0 <= args.transition < graph.num_transitions:
         print(

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg
 
 from ..baselines.afm import _triangle_counts
 from ..graphs.dynamic import DynamicGraph
@@ -67,8 +66,10 @@ def _spectral_gap(snapshot: GraphSnapshot) -> float:
     if n <= DENSE_SIGNATURE_LIMIT:
         spectrum = np.linalg.eigvalsh(adjacency.toarray())
         return float(spectrum[-1] - spectrum[-2])
+    from scipy.sparse.linalg import eigsh
+
     try:
-        values = scipy.sparse.linalg.eigsh(
+        values = eigsh(
             sp.csr_matrix(adjacency, dtype=np.float64), k=2,
             which="LA", v0=np.ones(n), return_eigenvectors=False,
         )

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg
 
 from .._validation import check_positive_int
 from ..graphs.dynamic import DynamicGraph
@@ -72,10 +71,12 @@ def laplacian_signature(snapshot: GraphSnapshot,
             spectrum = np.linalg.eigvalsh(np.asarray(lap))
             values = spectrum[::-1][:count]
         else:
+            from scipy.sparse.linalg import eigsh
+
             lap = sp.csr_matrix(laplacian(snapshot.adjacency))
             # Deterministic start vector: restored streams recompute
             # bit-for-bit identical signatures.
-            values = np.sort(scipy.sparse.linalg.eigsh(
+            values = np.sort(eigsh(
                 lap, k=count, which="LM", v0=np.ones(n),
                 return_eigenvectors=False,
             ))[::-1]

@@ -19,7 +19,6 @@ from typing import Any
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.spatial import cKDTree
 
 from .._validation import check_positive_float, check_positive_int
 from ..exceptions import GraphConstructionError
@@ -185,6 +184,8 @@ def knn_graph(features: np.ndarray,
             f"k must be < number of nodes ({n}), got {k}"
         )
     bandwidth = check_positive_float(bandwidth, "bandwidth")
+
+    from scipy.spatial import cKDTree
 
     tree = cKDTree(features)
     # k+1 because each point is its own nearest neighbour.

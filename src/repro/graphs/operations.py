@@ -1,10 +1,11 @@
 """Graph operations: components, differences, subgraphs, shortest paths.
 
 Everything here works on :class:`~repro.graphs.snapshot.GraphSnapshot`
-objects or raw CSR matrices and is deliberately dependency-light: the
-traversals (BFS components, Dijkstra) are implemented from scratch so
-the library carries its own substrate, with scipy used only for sparse
-matrix containers.
+objects or raw CSR matrices. Components are labelled by
+``scipy.sparse.csgraph``, which the CLC baseline and
+``linalg/distances.py`` also use for Dijkstra. The Dijkstra here is
+written from scratch: it is the reference the CLC baseline's scipy
+path is tested against.
 """
 
 from __future__ import annotations
@@ -20,35 +21,21 @@ from .snapshot import GraphSnapshot, NodeLabel
 
 
 def connected_components(adjacency: sp.spmatrix) -> tuple[int, np.ndarray]:
-    """Label connected components by breadth-first search.
+    """Label connected components.
 
     Args:
-        adjacency: symmetric CSR adjacency matrix.
+        adjacency: symmetric sparse adjacency matrix; every stored
+            entry is an edge, an explicit 0.0 included.
 
     Returns:
         ``(count, labels)`` where ``labels[i]`` is the component id of
-        node ``i`` in ``0 .. count-1``, numbered by discovery order.
+        node ``i`` in ``0 .. count-1``, components numbered in the
+        order of their lowest node.
     """
-    matrix = adjacency.tocsr()
-    n = matrix.shape[0]
-    labels = np.full(n, -1, dtype=np.int64)
-    indptr, indices = matrix.indptr, matrix.indices
-    count = 0
-    for start in range(n):
-        if labels[start] != -1:
-            continue
-        labels[start] = count
-        frontier = [start]
-        while frontier:
-            next_frontier: list[int] = []
-            for node in frontier:
-                for neighbor in indices[indptr[node]:indptr[node + 1]]:
-                    if labels[neighbor] == -1:
-                        labels[neighbor] = count
-                        next_frontier.append(neighbor)
-            frontier = next_frontier
-        count += 1
-    return count, labels
+    from scipy.sparse import csgraph
+
+    count, labels = csgraph.connected_components(adjacency, directed=False)
+    return count, labels.astype(np.int64)
 
 
 def is_connected(snapshot: GraphSnapshot) -> bool:

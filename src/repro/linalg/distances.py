@@ -25,9 +25,7 @@ All three expose the same pairwise API as the commute backends, so
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
-from scipy.sparse.csgraph import dijkstra as _scipy_dijkstra
 
 from .._validation import check_positive_float
 from ..exceptions import SolverError
@@ -55,6 +53,8 @@ def shortest_path_distance_matrix(
         weights_are_similarities: traverse at cost ``1/w`` (default)
             or use weights directly as costs.
     """
+    from scipy.sparse.csgraph import dijkstra
+
     matrix = (
         adjacency.tocsr() if sp.issparse(adjacency)
         else sp.csr_matrix(np.asarray(adjacency, dtype=np.float64))
@@ -62,7 +62,7 @@ def shortest_path_distance_matrix(
     costs = matrix.copy()
     if weights_are_similarities and costs.nnz:
         costs.data = 1.0 / costs.data
-    distances = _scipy_dijkstra(costs, directed=False)
+    distances = dijkstra(costs, directed=False)
     finite = np.isfinite(distances)
     if not finite.all():
         peak = distances[finite].max() if finite.any() else 1.0
@@ -84,6 +84,8 @@ def forest_distance_matrix(adjacency: sp.spmatrix | np.ndarray,
         adjacency: symmetric non-negative adjacency matrix.
         alpha: regularisation strength (> 0).
     """
+    import scipy.linalg
+
     alpha = check_positive_float(alpha, "alpha")
     lap = dense_laplacian(adjacency)
     n = lap.shape[0]

@@ -13,7 +13,6 @@ These serve two parts of the reproduction:
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 
 from .._validation import as_rng, check_positive_float, check_positive_int
@@ -203,6 +202,8 @@ def laplacian_eigenmaps(adjacency: sp.spmatrix | np.ndarray,
         adjacency: symmetric non-negative adjacency matrix.
         dim: number of coordinates (>= 1).
     """
+    import scipy.linalg
+
     dim = check_positive_int(dim, "dim")
     lap = dense_laplacian(adjacency)
     n = lap.shape[0]

@@ -25,7 +25,6 @@ way, which keeps the Case 3 scores well-behaved.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 
 from ..exceptions import SolverError
@@ -40,6 +39,8 @@ def laplacian_pseudoinverse(adjacency: sp.spmatrix | np.ndarray) -> np.ndarray:
     Laplacian is symmetric PSD). For disconnected graphs the result is
     the block-diagonal collection of per-component pseudoinverses.
     """
+    import scipy.linalg
+
     lap = dense_laplacian(adjacency)
     if lap.shape[0] == 0:
         raise SolverError("cannot invert an empty Laplacian")

@@ -38,7 +38,6 @@ import os
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .._validation import check_positive_float, check_positive_int
 from ..exceptions import ConvergenceError, SolverError
@@ -415,9 +414,11 @@ class LaplacianSolver:
                 self._preconditioners.append(inverse_diag)
                 self._factorizations.append(None)
             else:
+                from scipy.sparse.linalg import splu
+
                 grounded = block[1:, 1:].tocsc()
                 self._preconditioners.append(None)
-                self._factorizations.append(spla.splu(grounded))
+                self._factorizations.append(splu(grounded))
 
     @property
     def num_components(self) -> int:

@@ -13,6 +13,7 @@ from repro.graphs import (
     snapshot_from_edges,
     write_temporal_edge_csv,
 )
+from repro.pipeline.api import DETECTOR_FACTORIES
 
 
 @pytest.fixture
@@ -39,6 +40,17 @@ class TestParser:
         args = build_parser().parse_args(["detect", "g.csv"])
         assert args.detector == "cad"
         assert args.anomalies_per_transition == 5
+
+    def test_method_choices_are_the_registered_methods(self, capsys):
+        parser = build_parser()
+        for name in sorted(DETECTOR_FACTORIES):
+            args = parser.parse_args(["detect", "g.csv", "--method", name])
+            assert args.detector == name
+        with pytest.raises(SystemExit):
+            parser.parse_args(["detect", "g.csv", "--method", "nope"])
+        error = capsys.readouterr().err
+        assert "invalid choice: 'nope'" in error
+        assert ", ".join(map(repr, sorted(DETECTOR_FACTORIES))) in error
 
 
 class TestInfo:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
 from repro.exceptions import GraphConstructionError
 from repro.graphs import (
@@ -38,20 +40,74 @@ class TestConnectedComponents:
         assert is_connected(path_graph)
         assert not is_connected(disconnected_graph)
 
-    def test_matches_scipy(self, random_connected_graph):
-        from scipy.sparse.csgraph import connected_components as scipy_cc
+    def test_stored_zero_is_an_edge(self):
+        adjacency = sp.csr_matrix(
+            (np.zeros(2), np.array([1, 0]), np.array([0, 1, 2, 2])),
+            shape=(3, 3),
+        )
+        assert adjacency.nnz == 2
+        count, labels = connected_components(adjacency)
+        assert count == 2
+        np.testing.assert_array_equal(labels, [0, 0, 1])
 
-        ours, our_labels = connected_components(
-            random_connected_graph.adjacency
-        )
-        theirs, their_labels = scipy_cc(
-            random_connected_graph.adjacency, directed=False
-        )
-        assert ours == theirs
-        # Same partition up to relabelling.
-        mapping = {}
-        for a, b in zip(our_labels, their_labels):
-            assert mapping.setdefault(a, b) == b
+
+# --- Component oracle: a plain breadth-first search -------------------
+
+
+def _reference_components(adjacency):
+    """Breadth-first component labels, numbered in the order of each
+    component's lowest node; every stored entry is an edge."""
+    matrix = adjacency.tocsr()
+    n = matrix.shape[0]
+    labels = np.full(n, -1, dtype=np.int64)
+    count = 0
+    for start in range(n):
+        if labels[start] != -1:
+            continue
+        labels[start] = count
+        frontier = [start]
+        while frontier:
+            next_frontier = []
+            for node in frontier:
+                row = slice(matrix.indptr[node], matrix.indptr[node + 1])
+                for neighbor in matrix.indices[row]:
+                    if labels[neighbor] == -1:
+                        labels[neighbor] = count
+                        next_frontier.append(neighbor)
+            frontier = next_frontier
+        count += 1
+    return count, labels
+
+
+@st.composite
+def _component_graphs(draw):
+    """Symmetric CSR graphs of up to 40 nodes split over up to six
+    interleaved groups with no edge between groups, so several
+    components and isolated nodes appear; about 30% of the edges are
+    stored with weight 0.0."""
+    n = draw(st.integers(0, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    groups = rng.integers(0, draw(st.integers(1, 6)), size=n)
+    density = draw(st.floats(0.0, 0.4))
+    upper = [(i, j) for i in range(n) for j in range(i)
+             if groups[i] == groups[j] and rng.random() < density]
+    weights = np.where(rng.random(len(upper)) < 0.3, 0.0,
+                       rng.uniform(0.1, 2.0, len(upper)))
+    rows = [i for i, j in upper] + [j for i, j in upper]
+    cols = [j for i, j in upper] + [i for i, j in upper]
+    return sp.csr_matrix((np.concatenate([weights, weights]),
+                          (rows, cols)), shape=(n, n))
+
+
+class TestComponentOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(adjacency=_component_graphs())
+    def test_matches_reference_bfs(self, adjacency):
+        count, labels = connected_components(adjacency)
+        expected_count, expected = _reference_components(adjacency)
+        assert count == expected_count
+        assert labels.dtype == np.int64
+        np.testing.assert_array_equal(labels, expected)
 
 
 class TestAdjacencyDifference:
