@@ -143,9 +143,8 @@ def build_parser() -> argparse.ArgumentParser:
                      "pool exits with code 2 like any library error")
     run.add_argument("--shard-by", default="auto",
                      choices=("transition", "component", "auto"),
-                     help="parallel work decomposition: 'transition' "
-                     "(bit-for-bit serial parity), 'component' (union "
-                     "components, exact backend only), or 'auto'")
+                     help="kept for compatibility: every value shards "
+                     "by transition, bit for bit with a serial run")
     run.add_argument("--max-worker-restarts", type=int, default=None,
                      help="parallel runs only: how many dead/hung "
                      "workers the supervisor may respawn before "

@@ -17,7 +17,7 @@ Three layers, each thin:
   and channels drop frames from other runs, so a shard result from a
   released worker can never contaminate a later run.
 * :class:`ClusterEngine` — :class:`~repro.parallel.ParallelCadDetector`
-  with the two transport hooks overridden. Everything else — shard
+  with the two transport hooks overridden. Everything else — chunk
   planning, the supervised retry/requeue/deadline loop, deterministic
   merge, δ selection, checkpointing — is inherited unchanged, which is
   what makes remote execution bit-for-bit equal to a serial
@@ -41,7 +41,7 @@ from ..graphs.dynamic import DynamicGraph
 from ..observability import add_counter, get_logger
 from ..parallel.engine import ParallelCadDetector
 from ..parallel.transport import ShardTransport, WorkerChannel
-from ..parallel.worker import WorkerConfig, score_transition_chunk
+from ..parallel.worker import WorkerConfig
 from . import protocol
 from .worker import graph_to_wire
 
@@ -309,21 +309,10 @@ class RemoteWorkerChannel(WorkerChannel):
     # -- WorkerChannel -------------------------------------------------------
 
     def send_task(self, task_id, attempt, function, argument) -> None:
-        if function is score_transition_chunk:
-            task = {"kind": "chunk", "transitions": tuple(argument)}
-        else:
-            shard = argument
-            task = {
-                "kind": "shard",
-                "shard_id": shard.shard_id,
-                "transition": shard.transition,
-                "nodes": shard.nodes,
-                "rows": shard.rows,
-                "cols": shard.cols,
-                "positions": shard.positions,
-            }
-        task["task_id"] = task_id
-        task["attempt"] = attempt
+        # ``function`` is always the transition-chunk task. ``kind``
+        # keeps the frame what earlier protocol-1 workers expect.
+        task = {"kind": "chunk", "transitions": tuple(argument),
+                "task_id": task_id, "attempt": attempt}
         try:
             protocol.send_frame(self._worker.conn, protocol.TASK, task)
         except OSError:

@@ -6,9 +6,8 @@ dials the coordinator, registers, and then serves *runs* — each run
 starts with a ``CONFIGURE`` frame carrying the resolved calculator
 spec plus the full snapshot sequence as raw CSR arrays, after which
 ``TASK`` frames are executed with the **existing**
-:mod:`repro.parallel.worker` task functions
-(:func:`~repro.parallel.worker.score_transition_chunk` /
-:func:`~repro.parallel.worker.score_component_shard`) on exactly the
+:mod:`repro.parallel.worker` task function
+(:func:`~repro.parallel.worker.score_transition_chunk`) on exactly the
 worker-local state a shared-memory pool worker would hold. Same code
 path, same edge-keyed JL projection, therefore the same bit-for-bit
 payload arrays a local run produces.
@@ -49,12 +48,10 @@ from ..observability import (
     trace,
 )
 from ..parallel import worker as parallel_worker
-from ..parallel.sharding import ComponentShard
 from ..parallel.transport import encode_error
 from ..parallel.worker import (
     WorkerConfig,
     install_state,
-    score_component_shard,
     score_transition_chunk,
     set_task_attempt,
 )
@@ -192,17 +189,7 @@ def _configure_state(document: dict[str, Any]) -> None:
 
 def _execute_task(task: dict[str, Any]) -> dict[str, Any]:
     set_task_attempt(int(task.get("attempt", 0)))
-    if task["kind"] == "chunk":
-        return score_transition_chunk(tuple(task["transitions"]))
-    shard = ComponentShard(
-        shard_id=int(task["shard_id"]),
-        transition=int(task["transition"]),
-        nodes=task["nodes"],
-        rows=task["rows"],
-        cols=task["cols"],
-        positions=task["positions"],
-    )
-    return score_component_shard(shard)
+    return score_transition_chunk(tuple(task["transitions"]))
 
 
 class _Heartbeat:

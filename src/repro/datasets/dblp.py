@@ -32,7 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .._validation import as_rng, check_positive_int
 from ..exceptions import DatasetError

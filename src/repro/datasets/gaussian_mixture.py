@@ -35,9 +35,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
-from .._validation import as_rng, check_positive_int, check_probability
+from .._validation import as_rng, check_positive_int
 from ..exceptions import DatasetError
 from ..graphs.builders import gaussian_similarity_graph
 from ..graphs.dynamic import DynamicGraph

@@ -28,7 +28,6 @@ from __future__ import annotations
 from collections.abc import Callable
 
 import numpy as np
-import scipy.sparse as sp
 
 from ..exceptions import EvaluationError
 from ..graphs.dynamic import DynamicGraph

@@ -12,8 +12,6 @@ from __future__ import annotations
 from collections.abc import Callable, Collection
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..core.results import DetectionReport
 from ..exceptions import EvaluationError
 from .metrics import SetMetrics, set_metrics

@@ -14,7 +14,7 @@ The paper constructs graphs three ways, all covered here:
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from typing import Any
 
 import numpy as np

@@ -19,7 +19,7 @@ from .._validation import (
     check_probability,
 )
 from ..exceptions import GraphConstructionError
-from .snapshot import GraphSnapshot, NodeUniverse
+from .snapshot import GraphSnapshot
 
 
 def random_sparse_graph(n: int,

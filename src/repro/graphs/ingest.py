@@ -20,7 +20,7 @@ import scipy.sparse as sp
 from ..exceptions import GraphConstructionError
 from .builders import snapshot_from_edges, universe_from_edges
 from .dynamic import DynamicGraph
-from .snapshot import GraphSnapshot, NodeLabel, NodeUniverse
+from .snapshot import GraphSnapshot, NodeLabel
 
 
 class InteractionRecord(NamedTuple):

@@ -18,7 +18,7 @@ Snapshots are value objects: all mutating work happens in builders
 from __future__ import annotations
 
 import hashlib
-from collections.abc import Hashable, Iterable, Iterator, Sequence
+from collections.abc import Hashable, Iterable, Iterator
 from typing import Any
 
 import numpy as np

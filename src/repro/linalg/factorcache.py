@@ -1,8 +1,8 @@
 """Content-addressed factorization reuse across snapshots and sessions.
 
-CAD's dominant cost is the per-snapshot Laplacian solve — ~72 s serial
-for one 5k-node exact transition (BENCH_parallel.json) even though
-consecutive snapshots typically differ by a handful of edges and
+CAD's dominant cost is the per-snapshot Laplacian solve — minutes
+for one connected 5k-node exact snapshot (BENCH_streaming.json) even
+though consecutive snapshots typically differ by a handful of edges and
 identical snapshots are pushed repeatedly (checkpoint restores,
 retried shards, several users watching one feed). This module removes
 the redundancy at two tiers:

@@ -9,6 +9,14 @@ O(n^3) and intended for graphs up to a few thousand nodes (the paper
 itself uses it for the 151-node Enron graphs); larger graphs should use
 :mod:`repro.linalg.embedding`.
 
+``L^+`` is built per connected component: a connected graph takes one
+``scipy.linalg.pinvh`` of its dense Laplacian, and a disconnected one
+inverts each component's own Laplacian into its diagonal block, so the
+cost is ``sum_c n_c^3`` rather than ``n^3``. Isolated nodes keep zero
+rows. Inverting the blocks separately also keeps a component whose
+weights are many decades below another's: one whole-matrix
+eigendecomposition cuts its eigenvalues as rounding noise.
+
 Disconnected graphs: commute times across components are infinite in
 the random-walk sense. The pseudoinverse is block-diagonal, so the
 formula still yields a finite value ``V_G * (l+_ii + l+_jj)`` with the
@@ -27,7 +35,9 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
+from .._validation import check_square
 from ..exceptions import SolverError
+from ..graphs.operations import connected_components
 from ..observability import add_counter, trace
 from .laplacian import dense_laplacian, graph_volume
 
@@ -36,17 +46,42 @@ def laplacian_pseudoinverse(adjacency: sp.spmatrix | np.ndarray) -> np.ndarray:
     """Dense Moore–Penrose pseudoinverse of the combinatorial Laplacian.
 
     Uses the eigendecomposition-based ``scipy.linalg.pinvh`` (the
-    Laplacian is symmetric PSD). For disconnected graphs the result is
-    the block-diagonal collection of per-component pseudoinverses.
+    Laplacian is symmetric PSD), once per connected component with more
+    than one node. The result is the ``(n, n)`` block-diagonal
+    collection of the per-component pseudoinverses, zero across
+    components and on isolated nodes' rows.
     """
     import scipy.linalg
 
-    lap = dense_laplacian(adjacency)
-    if lap.shape[0] == 0:
+    if not sp.issparse(adjacency):
+        adjacency = np.asarray(adjacency, dtype=np.float64)
+    check_square(adjacency, "adjacency")
+    n = adjacency.shape[0]
+    if n == 0:
         raise SolverError("cannot invert an empty Laplacian")
-    with trace("pinv", n=lap.shape[0]):
+    # Label the edges the Laplacian sees: the CSR form (scipy's
+    # dense-graph conversion drops weights below 1e-8) without stored
+    # zeros. ``csr_matrix`` may share the caller's arrays, so prune a
+    # copy.
+    matrix = sp.csr_matrix(adjacency)
+    if not matrix.data.all():
+        matrix = matrix.copy()
+        matrix.eliminate_zeros()
+    count, labels = connected_components(matrix)
+    with trace("pinv", n=n):
         add_counter("pinv_total")
-        return scipy.linalg.pinvh(lap)
+        if count == 1:
+            return scipy.linalg.pinvh(dense_laplacian(adjacency))
+        pseudoinverse = np.zeros((n, n))
+        order = np.argsort(labels, kind="stable")
+        bounds = np.searchsorted(labels[order], np.arange(count + 1))
+        for start, stop in zip(bounds[:-1], bounds[1:]):
+            if stop - start < 2:
+                continue
+            nodes = order[start:stop]
+            block = dense_laplacian(matrix[nodes][:, nodes])
+            pseudoinverse[np.ix_(nodes, nodes)] = scipy.linalg.pinvh(block)
+        return pseudoinverse
 
 
 def commute_time_matrix(adjacency: sp.spmatrix | np.ndarray,

@@ -4,10 +4,10 @@ Public surface:
 
 * :class:`~repro.parallel.engine.ParallelCadDetector` — drop-in
   parallel twin of :class:`~repro.core.cad.CadDetector`;
-* the sharding planners and shared-memory store, for callers building
+* the transition planner and shared-memory store, for callers building
   their own orchestration.
 
-See ``docs/parallelism.md`` for the sharding axes, the determinism
+See ``docs/parallelism.md`` for the sharding axis, the determinism
 contract, and the shared-memory lifecycle.
 """
 
@@ -18,13 +18,7 @@ from .checkpoint import (
 )
 from .engine import ParallelCadDetector, default_worker_count
 from .merge import assemble_transition_scores, merge_worker_health
-from .sharding import (
-    SHARD_MODES,
-    ComponentShard,
-    plan_component_shards,
-    plan_transition_chunks,
-    resolve_shard_mode,
-)
+from .sharding import SHARD_MODES, plan_transition_chunks
 from .shm import AttachedGraphSequence, SharedGraphSequence
 from .supervisor import SupervisedPool
 from .worker import WorkerConfig
@@ -33,10 +27,7 @@ __all__ = [
     "ParallelCadDetector",
     "default_worker_count",
     "SHARD_MODES",
-    "ComponentShard",
-    "plan_component_shards",
     "plan_transition_chunks",
-    "resolve_shard_mode",
     "SharedGraphSequence",
     "SupervisedPool",
     "AttachedGraphSequence",

@@ -5,7 +5,7 @@ that scores a sequence with a process pool instead of a loop:
 
 1. the parent publishes every snapshot to shared memory once
    (:mod:`repro.parallel.shm`);
-2. work is decomposed along the transition or component axis
+2. the transitions are split into contiguous chunks
    (:mod:`repro.parallel.sharding`);
 3. pool workers score their shards with worker-local calculators that
    share the parent's edge-keyed JL projection
@@ -15,15 +15,11 @@ that scores a sequence with a process pool instead of a loop:
    with the exact serial code path.
 
 Determinism contract (tested in ``tests/test_parallel_determinism.py``):
-transition sharding reproduces a serial run *bit for bit* for any
-worker count with the delta tier off (``delta_budget=0``, the default
-without a factor cache); with it on, each ``L^+`` advances from the
-previous snapshot's, so scores depend on where chunks start and agree
-with serial only within the tier's tolerance. Component sharding is
-deterministic and numerically equivalent (per-component
-pseudoinverses round differently from one full factorisation) and is
-therefore only chosen by ``"auto"`` when it provably saves cubic
-work.
+every run reproduces a serial run *bit for bit* for any worker count
+and any ``shard_by`` with the delta tier off (``delta_budget=0``, the
+default without a factor cache); with it on, each ``L^+`` advances from
+the previous snapshot's, so scores depend on where chunks start and
+agree with serial only within the tier's tolerance.
 
 Execution is *self-healing*: tasks run on a
 :class:`~repro.parallel.supervisor.SupervisedPool` that detects worker
@@ -56,18 +52,8 @@ from .checkpoint import (
     sequence_fingerprint,
     write_parallel_checkpoint,
 )
-from .merge import (
-    ComponentAccumulator,
-    assemble_transition_scores,
-    empty_transition_payload,
-    merge_worker_health,
-)
-from .sharding import (
-    plan_component_shards,
-    plan_transition_chunks,
-    resolve_shard_mode,
-    validate_shard_mode,
-)
+from .merge import assemble_transition_scores, merge_worker_health
+from .sharding import plan_transition_chunks, validate_shard_mode
 from .shm import SharedGraphSequence
 from .supervisor import (
     DEFAULT_HEARTBEAT_INTERVAL,
@@ -76,11 +62,7 @@ from .supervisor import (
     DEFAULT_MAX_WORKER_RESTARTS,
     SupervisedPool,
 )
-from .worker import (
-    WorkerConfig,
-    score_component_shard,
-    score_transition_chunk,
-)
+from .worker import WorkerConfig, score_transition_chunk
 
 
 def default_worker_count() -> int:
@@ -94,13 +76,12 @@ class ParallelCadDetector(CadDetector):
     Args:
         workers: pool size; defaults to the machine's CPU count. The
             pool never exceeds the task count.
-        shard_by: work decomposition — ``"transition"`` (bit-for-bit
-            serial parity), ``"component"`` (union-component tasks,
-            exact backend only), or ``"auto"`` (component only when it
-            provably helps, transition otherwise).
-        chunk_size: transitions per task on the transition axis;
-            defaults to ``ceil(T / workers)`` (one contiguous run per
-            worker, maximising backend-cache reuse).
+        shard_by: one of ``"transition"``, ``"component"`` or
+            ``"auto"``; validated and kept for compatibility, every
+            value shards by transition.
+        chunk_size: transitions per task; defaults to
+            ``ceil(T / workers)`` (one contiguous run per worker,
+            maximising backend-cache reuse).
         checkpoint_path: when set, completed transitions are written
             here periodically and a rerun over the same input resumes
             from them.
@@ -158,7 +139,6 @@ class ParallelCadDetector(CadDetector):
             )
         validate_shard_mode(shard_by)
         self._workers = workers
-        self._shard_by = shard_by
         self._chunk_size = chunk_size
         self._checkpoint_path = (
             None if checkpoint_path is None else Path(checkpoint_path)
@@ -260,14 +240,6 @@ class ParallelCadDetector(CadDetector):
              ) -> tuple[dict[int, dict[str, np.ndarray]],
                         dict[str, dict[str, Any]]]:
         resolved_method = self._calculator.resolve_method(graph.num_nodes)
-        mode = resolve_shard_mode(self._shard_by, resolved_method, graph)
-        if mode == "component" and resolved_method != "exact":
-            raise ParallelExecutionError(
-                "component sharding requires the exact commute-time "
-                "backend (per-component embeddings would not match a "
-                f"serial run); resolved method is {resolved_method!r}"
-            )
-
         payloads: dict[int, dict[str, np.ndarray]] = {}
         worker_states: dict[str, dict[str, Any]] = {}
         fingerprint = None
@@ -287,122 +259,72 @@ class ParallelCadDetector(CadDetector):
         if not remaining:
             return payloads, worker_states
 
-        accumulators: dict[int, ComponentAccumulator] = {}
-        if mode == "transition":
-            tasks = [
-                (score_transition_chunk, chunk)
-                for chunk in plan_transition_chunks(
-                    remaining, self.workers, self._chunk_size
-                )
-            ]
-        else:
-            shards, canonical = plan_component_shards(graph)
-            shards = [s for s in shards if s.transition in remaining]
-            expected: dict[int, int] = {}
-            for shard in shards:
-                expected[shard.transition] = (
-                    expected.get(shard.transition, 0) + 1
-                )
-            for transition in remaining:
-                rows, cols = canonical[transition]
-                if transition in expected:
-                    accumulators[transition] = ComponentAccumulator(
-                        transition, rows, cols, graph.num_nodes,
-                        expected[transition],
-                    )
-                else:
-                    # Empty union support: nothing to score.
-                    payloads[transition] = empty_transition_payload(
-                        graph.num_nodes
-                    )
-            tasks = [(score_component_shard, shard) for shard in shards]
-
+        tasks = [
+            (score_transition_chunk, chunk)
+            for chunk in plan_transition_chunks(
+                remaining, self.workers, self._chunk_size
+            )
+        ]
         newly_completed = 0
         worker_metrics: dict[str, dict[str, Any]] = {}
-        if tasks:
-            sequence_spec, sequence_cleanup = \
-                self._publish_sequence(graph)
-            try:
-                config = WorkerConfig(
-                    sequence=sequence_spec,
-                    calculator={**self._calculator.spec(),
-                                "method": resolved_method},
-                    skip_unscorable=self._skip_unscorable,
-                    unregister_shm=(
-                        multiprocessing.get_start_method() != "fork"
-                    ),
-                    collect_metrics=enabled(),
-                    chaos=self._chaos,
-                )
-                pool_size = max(1, min(self.workers, len(tasks)))
-                set_gauge("parallel_pool_size", pool_size)
-                pool = SupervisedPool(
-                    pool_size, config,
-                    max_worker_restarts=self._max_worker_restarts,
-                    max_shard_retries=self._max_shard_retries,
-                    shard_deadline=self._shard_deadline,
-                    heartbeat_interval=self._heartbeat_interval,
-                    heartbeat_timeout=self._heartbeat_timeout,
-                    transport=self._make_transport(config, graph,
-                                                   pool_size),
-                )
-                with trace("parallel.run", mode=mode,
-                           tasks=len(tasks), workers=pool_size), pool:
-                    for result in pool.run(tasks):
-                        worker_states[str(result["worker"])] = (
-                            result["health"]
-                        )
-                        if result.get("metrics") is not None:
-                            # States are cumulative per worker, so the
-                            # last result to arrive carries the whole
-                            # worker's history.
-                            worker_metrics[str(result["worker"])] = (
-                                result["metrics"]
-                            )
-                        if mode == "transition":
-                            payloads.update(result["payloads"])
-                            newly_completed += len(result["payloads"])
-                        else:
-                            accumulator = accumulators[
-                                result["transition"]
-                            ]
-                            accumulator.add(result)
-                            if accumulator.complete:
-                                transition = accumulator.transition
-                                payloads[transition] = (
-                                    accumulator.payload()
-                                )
-                                del accumulators[transition]
-                                newly_completed += 1
-                        if (
-                            self._checkpoint_path is not None
-                            and newly_completed >= self._checkpoint_every
-                        ):
-                            write_parallel_checkpoint(
-                                self._checkpoint_path, fingerprint,
-                                payloads, worker_states,
-                            )
-                            newly_completed = 0
-                self.last_pool_restarts = pool.restarts
-                self.last_pool_retries = pool.retries
-            except ParallelExecutionError:
-                # Supervision gave up (budgets exhausted / no workers
-                # left): persist completed work before escalating.
-                if self._checkpoint_path is not None:
-                    write_parallel_checkpoint(
-                        self._checkpoint_path, fingerprint,
-                        payloads, worker_states,
-                    )
-                raise
-            finally:
-                sequence_cleanup()
-
-        if accumulators:
-            incomplete = sorted(accumulators)
-            raise ParallelExecutionError(
-                f"transitions {incomplete[:8]} never completed all "
-                "component shards"
+        sequence_spec, sequence_cleanup = self._publish_sequence(graph)
+        try:
+            config = WorkerConfig(
+                sequence=sequence_spec,
+                calculator={**self._calculator.spec(),
+                            "method": resolved_method},
+                skip_unscorable=self._skip_unscorable,
+                unregister_shm=multiprocessing.get_start_method() != "fork",
+                collect_metrics=enabled(),
+                chaos=self._chaos,
             )
+            pool_size = max(1, min(self.workers, len(tasks)))
+            set_gauge("parallel_pool_size", pool_size)
+            pool = SupervisedPool(
+                pool_size, config,
+                max_worker_restarts=self._max_worker_restarts,
+                max_shard_retries=self._max_shard_retries,
+                shard_deadline=self._shard_deadline,
+                heartbeat_interval=self._heartbeat_interval,
+                heartbeat_timeout=self._heartbeat_timeout,
+                transport=self._make_transport(config, graph, pool_size),
+            )
+            with trace("parallel.run", tasks=len(tasks),
+                       workers=pool_size), pool:
+                for result in pool.run(tasks):
+                    worker_states[str(result["worker"])] = result["health"]
+                    if result.get("metrics") is not None:
+                        # States are cumulative per worker, so the
+                        # last result to arrive carries the whole
+                        # worker's history.
+                        worker_metrics[str(result["worker"])] = (
+                            result["metrics"]
+                        )
+                    payloads.update(result["payloads"])
+                    newly_completed += len(result["payloads"])
+                    if (
+                        self._checkpoint_path is not None
+                        and newly_completed >= self._checkpoint_every
+                    ):
+                        write_parallel_checkpoint(
+                            self._checkpoint_path, fingerprint,
+                            payloads, worker_states,
+                        )
+                        newly_completed = 0
+            self.last_pool_restarts = pool.restarts
+            self.last_pool_retries = pool.retries
+        except ParallelExecutionError:
+            # Supervision gave up (budgets exhausted / no workers
+            # left): persist completed work before escalating.
+            if self._checkpoint_path is not None:
+                write_parallel_checkpoint(
+                    self._checkpoint_path, fingerprint,
+                    payloads, worker_states,
+                )
+            raise
+        finally:
+            sequence_cleanup()
+
         if self._checkpoint_path is not None and newly_completed:
             write_parallel_checkpoint(
                 self._checkpoint_path, fingerprint, payloads,

@@ -1,11 +1,10 @@
 """Deterministic merge of worker payloads back into serial-shaped results.
 
-Workers return plain arrays keyed by transition index (and, on the
-component axis, by scatter positions inside the transition's canonical
-union support). The merge is therefore pure bookkeeping with a fixed
-order — transition 0, 1, 2, ... — so the assembled
-:class:`~repro.core.results.TransitionScores` list does not depend on
-task completion order, worker count, or scheduling at all.
+Workers return plain arrays keyed by transition index. The merge is
+therefore pure bookkeeping with a fixed order — transition 0, 1, 2,
+... — so the assembled :class:`~repro.core.results.TransitionScores`
+list does not depend on task completion order, worker count, or
+scheduling at all.
 
 Health accounting merges by summation: each worker's cumulative
 :class:`~repro.resilience.health.HealthMonitor` state is kept tagged by
@@ -22,84 +21,10 @@ from typing import Any
 import numpy as np
 
 from ..core.results import TransitionScores
-from ..core.scores import aggregate_node_scores
 from ..exceptions import ParallelExecutionError
 from ..graphs.dynamic import DynamicGraph
 from ..resilience.health import HealthMonitor, HealthReport
 from .worker import PAYLOAD_ARRAYS
-
-
-class ComponentAccumulator:
-    """Collects component-shard results for one transition.
-
-    The parent creates one accumulator per transition with the
-    transition's canonical union-support frame; each arriving shard
-    scatters its scores through its ``positions``; :meth:`payload`
-    closes the books once every pair has been covered exactly once.
-    """
-
-    def __init__(self, transition: int, rows: np.ndarray,
-                 cols: np.ndarray, num_nodes: int, expected_shards: int):
-        self.transition = transition
-        self._rows = rows
-        self._cols = cols
-        self._num_nodes = num_nodes
-        self._expected = expected_shards
-        self._received = 0
-        self._covered = np.zeros(rows.size, dtype=bool)
-        self._edge_scores = np.zeros(rows.size)
-        self._adjacency_change = np.zeros(rows.size)
-        self._commute_change = np.zeros(rows.size)
-
-    def add(self, result: dict[str, Any]) -> None:
-        """Scatter one shard's arrays into the canonical frame."""
-        positions = np.asarray(result["positions"], dtype=np.int64)
-        if positions.size and self._covered[positions].any():
-            raise ParallelExecutionError(
-                f"transition {self.transition}: component shards overlap"
-            )
-        self._covered[positions] = True
-        self._edge_scores[positions] = result["edge_scores"]
-        self._adjacency_change[positions] = result["adjacency_change"]
-        self._commute_change[positions] = result["commute_change"]
-        self._received += 1
-
-    @property
-    def complete(self) -> bool:
-        """True once every expected shard has been added."""
-        return self._received == self._expected
-
-    def payload(self) -> dict[str, np.ndarray]:
-        """The transition's merged payload (requires completeness)."""
-        if not self.complete or not self._covered.all():
-            raise ParallelExecutionError(
-                f"transition {self.transition}: incomplete component "
-                f"coverage ({self._received}/{self._expected} shards, "
-                f"{int(self._covered.sum())}/{self._covered.size} pairs)"
-            )
-        return {
-            "edge_rows": self._rows,
-            "edge_cols": self._cols,
-            "edge_scores": self._edge_scores,
-            "adjacency_change": self._adjacency_change,
-            "commute_change": self._commute_change,
-            "node_scores": aggregate_node_scores(
-                self._num_nodes, self._rows, self._cols, self._edge_scores
-            ),
-        }
-
-
-def empty_transition_payload(num_nodes: int) -> dict[str, np.ndarray]:
-    """Payload of a transition with an empty union support."""
-    empty_index = np.zeros(0, dtype=np.int64)
-    return {
-        "edge_rows": empty_index,
-        "edge_cols": empty_index.copy(),
-        "edge_scores": np.zeros(0),
-        "adjacency_change": np.zeros(0),
-        "commute_change": np.zeros(0),
-        "node_scores": np.zeros(num_nodes),
-    }
 
 
 def assemble_transition_scores(graph: DynamicGraph,

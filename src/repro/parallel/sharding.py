@@ -1,67 +1,29 @@
 """Work decomposition for the parallel CAD engine.
 
-Two sharding axes (see ``docs/parallelism.md``):
+One sharding axis (see ``docs/parallelism.md``): the sequence's
+transitions ``G_t -> G_{t+1}`` are split into contiguous chunks, one
+task per chunk. Each task reproduces the serial scoring path verbatim,
+so the merged result is bit-for-bit identical to a serial run. Chunks
+are contiguous on purpose: the commute-time backend cache holds the two
+most recent snapshots, so a worker scoring ``t`` and then ``t+1``
+reuses ``G_{t+1}``'s backend exactly like the serial loop does.
 
-* **transition sharding** — the sequence's transitions
-  ``G_t -> G_{t+1}`` are split into contiguous chunks, one task per
-  chunk. Each task reproduces the serial scoring path verbatim, so the
-  merged result is bit-for-bit identical to a serial run. Chunks are
-  contiguous on purpose: the commute-time backend cache holds the two
-  most recent snapshots, so a worker scoring ``t`` and then ``t+1``
-  reuses ``G_{t+1}``'s backend exactly like the serial loop does.
-* **component sharding** — each transition is split further into the
-  connected components of the *union* graph of its two snapshots.
-  Commute times never cross components (the block-pseudoinverse
-  convention), so every union component is an independent task. This
-  axis pays off when the union graph is disconnected and the backend is
-  the exact O(n^3) pseudoinverse: the per-component cost
-  ``sum_c n_c^3`` can be far below ``n^3``.
-
-Mode ``"auto"`` picks component sharding only when it provably helps
-and keeps the bitwise guarantee otherwise: exact method + at least one
-disconnected union graph → ``"component"``; anything else →
-``"transition"``.
+The exact backend already inverts each connected component on its own
+(:func:`~repro.linalg.pseudoinverse.laplacian_pseudoinverse`), so a
+disconnected graph needs no second axis. The ``shard_by`` knob is kept
+for compatibility: every recognised value is accepted and selects the
+transition axis.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
-
-import numpy as np
 
 from ..exceptions import ParallelExecutionError
-from ..graphs.dynamic import DynamicGraph
-from ..graphs.operations import connected_components, union_support
 
 #: Recognised values of the ``shard_by`` knob.
 SHARD_MODES = ("transition", "component", "auto")
-
-
-@dataclass(frozen=True)
-class ComponentShard:
-    """One task of the component axis: one union component of one
-    transition.
-
-    Attributes:
-        shard_id: dense task id.
-        transition: transition index ``t``.
-        nodes: sorted global node indices of the union component.
-        rows: global row endpoints of the component's union-support
-            pairs.
-        cols: global column endpoints (``rows < cols``).
-        positions: positions of those pairs inside the transition's
-            canonical union-support arrays — the merge step scatters the
-            shard's scores back through these.
-    """
-
-    shard_id: int
-    transition: int
-    nodes: np.ndarray
-    rows: np.ndarray
-    cols: np.ndarray
-    positions: np.ndarray
 
 
 def validate_shard_mode(shard_by: str) -> str:
@@ -104,81 +66,3 @@ def plan_transition_chunks(transitions: Sequence[int],
         for run in runs
         for start in range(0, len(run), chunk_size)
     ]
-
-
-def union_pairs(graph: DynamicGraph,
-                transition: int) -> tuple[np.ndarray, np.ndarray]:
-    """Canonical union-support pairs of transition ``t`` (serial order)."""
-    return union_support(graph[transition], graph[transition + 1])
-
-
-def plan_component_shards(graph: DynamicGraph,
-                          ) -> tuple[list[ComponentShard],
-                                     dict[int, tuple[np.ndarray, np.ndarray]]]:
-    """One shard per (transition, union component with scored pairs).
-
-    Returns:
-        ``(shards, canonical)`` where ``canonical[t]`` holds the
-        transition's full union-support ``(rows, cols)`` in serial
-        order — the frame the merge step scatters shard results into.
-    """
-    shards: list[ComponentShard] = []
-    canonical: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    shard_id = 0
-    for transition in range(graph.num_transitions):
-        rows, cols = union_pairs(graph, transition)
-        canonical[transition] = (rows, cols)
-        if rows.size == 0:
-            continue
-        pattern = (
-            _binary_pattern(graph[transition])
-            + _binary_pattern(graph[transition + 1])
-        )
-        _count, labels = connected_components(pattern)
-        # Both endpoints of a union edge share a component by
-        # construction, so the row label alone routes each pair.
-        for component in np.unique(labels[rows]):
-            positions = np.flatnonzero(labels[rows] == component)
-            shards.append(ComponentShard(
-                shard_id=shard_id,
-                transition=transition,
-                nodes=np.flatnonzero(labels == component).astype(np.int64),
-                rows=rows[positions],
-                cols=cols[positions],
-                positions=positions,
-            ))
-            shard_id += 1
-    return shards, canonical
-
-
-def _binary_pattern(snapshot):
-    pattern = snapshot.adjacency.copy()
-    pattern.data = np.ones_like(pattern.data)
-    return pattern
-
-
-def resolve_shard_mode(shard_by: str,
-                       resolved_method: str,
-                       graph: DynamicGraph) -> str:
-    """Turn ``"auto"`` into a concrete axis for this run.
-
-    Component sharding loses the bit-for-bit guarantee (per-component
-    pseudoinverses round differently from one full-matrix
-    factorisation) and only wins when the exact backend can skip cubic
-    work, so ``"auto"`` requires both: exact method *and* at least one
-    transition whose union graph is disconnected.
-    """
-    validate_shard_mode(shard_by)
-    if shard_by != "auto":
-        return shard_by
-    if resolved_method != "exact":
-        return "transition"
-    for transition in range(graph.num_transitions):
-        pattern = (
-            _binary_pattern(graph[transition])
-            + _binary_pattern(graph[transition + 1])
-        )
-        count, _labels = connected_components(pattern)
-        if count > 1:
-            return "component"
-    return "transition"

@@ -12,9 +12,8 @@ Two deliberate choices keep worker output independent of scheduling:
   depends only on the snapshot, never on which worker scores it or in
   what order;
 * the commute-time method is resolved in the *parent* from the full
-  node count and forced here — a 500-node component of a 5000-node
-  graph must not silently switch from the approximate to the exact
-  backend.
+  node count and forced here, so every worker uses the backend the
+  parent chose.
 
 Workers return plain-data payloads (numpy arrays + their cumulative
 health state); all result-object assembly happens in the parent, in
@@ -33,10 +32,8 @@ from ..core.commute import CommuteTimeCalculator
 from ..core.scores import adjacency_change_on_pairs, cad_edge_scores
 from ..exceptions import EmbeddingError, SolverError
 from ..graphs.snapshot import GraphSnapshot, NodeUniverse
-from ..linalg.pseudoinverse import laplacian_pseudoinverse
 from ..observability import MetricsRegistry, enable, trace
 from ..resilience.chaos import ChaosSpec
-from .sharding import ComponentShard
 from .shm import AttachedGraphSequence, SharedSequenceSpec
 
 #: Payload array names a transition contributes to the merge/checkpoint.
@@ -211,73 +208,3 @@ def score_transition_chunk(transitions: tuple[int, ...]) -> dict[str, Any]:
         "health": calculator.health.state(),
         "metrics": _metrics_state(),
     }
-
-
-def score_component_shard(shard: ComponentShard) -> dict[str, Any]:
-    """Task function for the component axis (exact backend only).
-
-    Computes commute times from the *per-component* Laplacian
-    pseudoinverse but applies the *full-graph* volume, matching the
-    serial block-pseudoinverse convention (``l+_ij = 0`` across
-    components) without the rescaling division that would introduce
-    extra rounding.
-    """
-    config: WorkerConfig = _STATE["config"]
-    snapshots = _STATE["snapshots"]
-    _chaos(config, shard.transition)
-    with trace("worker.shard", transition=shard.transition,
-               pairs=shard.rows.size):
-        g_t = snapshots[shard.transition]
-        g_t1 = snapshots[shard.transition + 1]
-        # Unpickled arrays can arrive as views over pickle's read-only
-        # frame buffer, which scipy's fancy indexing rejects; reown them.
-        rows = np.array(shard.rows, dtype=np.int64, copy=True)
-        cols = np.array(shard.cols, dtype=np.int64, copy=True)
-        nodes = np.array(shard.nodes, dtype=np.int64, copy=True)
-        adjacency_change = adjacency_change_on_pairs(g_t, g_t1, rows,
-                                                     cols)
-        local_rows = np.searchsorted(nodes, rows)
-        local_cols = np.searchsorted(nodes, cols)
-        commute_t = _component_commute_times(g_t, nodes,
-                                             local_rows, local_cols)
-        commute_t1 = _component_commute_times(g_t1, nodes,
-                                              local_rows, local_cols)
-        commute_change = np.abs(commute_t1 - commute_t)
-    return {
-        "worker": os.getpid(),
-        "transition": shard.transition,
-        "positions": shard.positions,
-        "edge_scores": adjacency_change * commute_change,
-        "adjacency_change": adjacency_change,
-        "commute_change": commute_change,
-        "health": _STATE["calculator"].health.state(),
-        "metrics": _metrics_state(),
-    }
-
-
-def _component_commute_times(snapshot: GraphSnapshot,
-                             nodes: np.ndarray,
-                             local_rows: np.ndarray,
-                             local_cols: np.ndarray) -> np.ndarray:
-    """Commute times on one union component of a snapshot.
-
-    Mirrors the serial exact path edge case for edge case:
-
-    * edgeless full snapshot → all-zero commute times (the serial
-      ``volume() <= 0`` guard);
-    * nodes isolated inside the component → zero ``l+`` rows, exactly
-      like their zero rows in the full-matrix pseudoinverse.
-    """
-    if local_rows.size == 0:
-        return np.zeros(0)
-    volume = snapshot.volume()
-    if volume <= 0:
-        return np.zeros(local_rows.size)
-    sub = snapshot.adjacency[nodes][:, nodes]
-    pseudoinverse = laplacian_pseudoinverse(sub)
-    diagonal = np.diag(pseudoinverse)
-    values = volume * (
-        diagonal[local_rows] + diagonal[local_cols]
-        - 2.0 * pseudoinverse[local_rows, local_cols]
-    )
-    return np.clip(values, 0.0, None)

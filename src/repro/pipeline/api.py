@@ -170,9 +170,9 @@ def detect(graph: DynamicGraph,
             (``repro.parallel``); ``None`` or 1 runs serially. Defaults
             to the ``REPRO_TEST_WORKERS`` environment variable when
             set. Only CAD parallelises; other detectors ignore this.
-        shard_by: parallel work decomposition — ``"transition"``,
-            ``"component"``, or ``"auto"`` (see
-            :class:`~repro.parallel.ParallelCadDetector`).
+        shard_by: ``"transition"``, ``"component"`` or ``"auto"``;
+            kept for compatibility, every value shards by transition
+            (see :class:`~repro.parallel.ParallelCadDetector`).
         metrics: collect tracing/metrics for this run and attach the
             merged document (including per-worker breakdowns on
             parallel runs) as ``report.metrics``.

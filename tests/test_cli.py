@@ -1,16 +1,13 @@
 """Tests for the cad-detect command-line interface."""
 
-import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
 from repro.graphs import (
     DynamicGraph,
     GraphSnapshot,
-    NodeUniverse,
     community_pair_graph,
     perturb_weights,
-    snapshot_from_edges,
     write_temporal_edge_csv,
 )
 from repro.pipeline.api import DETECTOR_FACTORIES

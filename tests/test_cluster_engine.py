@@ -26,7 +26,7 @@ from repro.cluster import protocol
 from repro.cluster.coordinator import SocketShardTransport
 from repro.cluster.worker import _configure_state
 from repro.exceptions import ParallelExecutionError
-from repro.parallel import SharedGraphSequence
+from repro.parallel import SHARD_MODES, SharedGraphSequence
 from repro.parallel import worker as parallel_worker
 from repro.resilience.chaos import ChaosSpec
 
@@ -118,22 +118,30 @@ class TestParity:
         assert_reports_bitwise_equal(serial, remote)
 
     def test_component_sharding_matches_local_engine_bitwise(self):
-        """Component shards round identically local and remote — the
-        remote worker runs the same per-component code on the same
-        arrays, so the two parallel modes agree bit for bit."""
-        from repro import ParallelCadDetector
-
+        """On a disconnected exact sequence every ``shard_by`` value runs
+        the transition axis remotely too: with 1, 2 and 4 workers the
+        remote report equals serial and the local engine bit for bit.
+        Worker processes, not threads: runs of different sizes adopt
+        different workers, and in-process workers share one module
+        state that a finishing run clears."""
         graph = disconnected_sequence()
+        serial = CadDetector(method="exact", seed=3).detect(
+            graph, anomalies_per_transition=3
+        )
         local = ParallelCadDetector(
             workers=2, shard_by="component", method="exact", seed=3,
         ).detect(graph, anomalies_per_transition=3)
+        runs = [(workers, shard_by) for workers in (1, 2, 4)
+                for shard_by in SHARD_MODES]
         with ClusterCoordinator() as coordinator, \
-                thread_workers(coordinator, 2):
-            remote = ClusterEngine(
-                coordinator, workers=2, min_workers=2,
-                shard_by="component", method="exact", seed=3,
-            ).detect(graph, anomalies_per_transition=3)
-        assert_reports_bitwise_equal(local, remote)
+                process_workers(coordinator, 4):
+            for workers, shard_by in runs:
+                remote = ClusterEngine(
+                    coordinator, workers=workers, min_workers=workers,
+                    shard_by=shard_by, method="exact", seed=3,
+                ).detect(graph, anomalies_per_transition=3)
+                assert_reports_bitwise_equal(serial, remote)
+                assert_reports_bitwise_equal(local, remote)
 
     def test_workers_are_reused_across_runs(self):
         """RELEASE parks workers back in the ready pool; a second run

@@ -1,6 +1,5 @@
 """Unit tests for the CadDetector end-to-end behaviour."""
 
-import numpy as np
 import pytest
 
 from repro.core import CadDetector, build_report

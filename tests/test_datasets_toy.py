@@ -5,7 +5,6 @@ import pytest
 
 from repro.core import CadDetector
 from repro.datasets import toy_example
-from repro.datasets.toy import BENIGN_SCENARIOS
 
 
 #: The exact backend's ΔE for the five Table 1 edges and ΔN for all 17

@@ -5,7 +5,6 @@ import pytest
 
 from repro.exceptions import GraphConstructionError
 from repro.graphs import (
-    NodeUniverse,
     gaussian_similarity_graph,
     knn_graph,
     snapshot_from_dense,

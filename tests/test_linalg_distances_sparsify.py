@@ -3,13 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.exceptions import EmbeddingError, SolverError
+from repro.exceptions import EmbeddingError
 from repro.graphs import random_sparse_graph
 from repro.linalg import (
     DISTANCE_REGISTRY,
     commute_distance_matrix,
     commute_time_matrix,
-    dense_laplacian,
     effective_resistances,
     forest_distance_matrix,
     laplacian_quadratic_form,

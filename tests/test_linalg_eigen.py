@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from repro.exceptions import SolverError
 from repro.linalg import (

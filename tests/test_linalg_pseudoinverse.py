@@ -2,14 +2,21 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse as sp
+from hypothesis import given, settings
 
 from repro.exceptions import SolverError
+from repro.graphs import random_sparse_graph
 from repro.linalg import (
     commute_time_matrix,
     commute_times_for_pairs,
+    dense_laplacian,
     effective_resistance_matrix,
     laplacian_pseudoinverse,
 )
+
+from .test_linalg_solvers import _hard_graphs
 
 
 class TestPathGraphClosedForm:
@@ -110,8 +117,6 @@ class TestPairsApi:
 
 class TestPseudoinverse:
     def test_penrose_conditions(self, random_connected_graph):
-        from repro.linalg import dense_laplacian
-
         lap = dense_laplacian(random_connected_graph.adjacency)
         pseudo = laplacian_pseudoinverse(random_connected_graph.adjacency)
         np.testing.assert_allclose(lap @ pseudo @ lap, lap, atol=1e-6)
@@ -121,3 +126,86 @@ class TestPseudoinverse:
     def test_effective_resistance_needs_edges(self):
         with pytest.raises(SolverError):
             effective_resistance_matrix(np.zeros((3, 3)))
+
+
+def _chain_components(adjacency, labels, weight=1.0):
+    """CSR of the graph plus one edge of ``weight`` from each component
+    to the next, stored even when ``weight`` is 0."""
+    rows, cols = np.nonzero(adjacency)
+    data = adjacency[rows, cols].tolist()
+    rows, cols = rows.tolist(), cols.tolist()
+    firsts = [np.flatnonzero(labels == c)[0] for c in np.unique(labels)]
+    for i, j in zip(firsts[:-1], firsts[1:]):
+        rows += [i, j]
+        cols += [j, i]
+        data += [weight, weight]
+    return sp.csr_matrix((data, (rows, cols)), shape=adjacency.shape)
+
+
+class TestPseudoinverseOracle:
+    """``laplacian_pseudoinverse`` against naive references on graphs
+    with isolated nodes, paths, even cycles, several components and
+    weights from 1e-3 to 1e3."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(graph=_hard_graphs())
+    def test_matches_dense_pinv(self, graph):
+        adjacency, _labels = graph
+        # rcond as in the solver oracle: above rounding, below the
+        # weak components' smallest nonzero eigenvalues.
+        expected = np.linalg.pinv(dense_laplacian(adjacency),
+                                  rcond=1e-11, hermitian=True)
+        for matrix in (adjacency, sp.csr_matrix(adjacency)):
+            np.testing.assert_allclose(
+                laplacian_pseudoinverse(matrix), expected, rtol=0.0,
+                atol=1e-7 * max(1.0, np.abs(expected).max()),
+            )
+
+    @settings(max_examples=60, deadline=None)
+    @given(graph=_hard_graphs())
+    def test_zero_across_components_and_on_isolated_rows(self, graph):
+        """Also when stored zeros chain the components: a stored zero
+        is no edge of the Laplacian."""
+        adjacency, labels = graph
+        sizes = np.bincount(labels)
+        for matrix in (sp.csr_matrix(adjacency),
+                       _chain_components(adjacency, labels, weight=0.0)):
+            pseudo = laplacian_pseudoinverse(matrix)
+            assert np.all(
+                pseudo[labels[:, None] != labels[None, :]] == 0.0
+            )
+            assert np.all(pseudo[sizes[labels] == 1] == 0.0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(graph=_hard_graphs())
+    def test_connected_graph_is_one_whole_pinvh(self, graph):
+        """A connected graph takes exactly one ``pinvh`` of the whole
+        dense Laplacian, byte for byte."""
+        chained = _chain_components(*graph)
+        for matrix in (chained.toarray(), chained):
+            expected = scipy.linalg.pinvh(dense_laplacian(matrix))
+            assert laplacian_pseudoinverse(matrix).tobytes() == \
+                expected.tobytes()
+
+    def test_keeps_a_component_fifteen_decades_weaker(self):
+        """One whole-matrix ``pinvh`` cuts the 1e-9-weight component's
+        eigenvalues as rounding noise and returns its block as zeros;
+        per component, each block matches its own reference."""
+        weak = random_sparse_graph(40, mean_degree=4.0, seed=1,
+                                   connected=True).adjacency * 1e-9
+        strong = random_sparse_graph(40, mean_degree=4.0, seed=2,
+                                     connected=True).adjacency * 1e6
+        pseudo = laplacian_pseudoinverse(sp.block_diag([weak, strong],
+                                                       format="csr"))
+        for block, rows in ((weak, slice(0, 40)), (strong, slice(40, 80))):
+            # L+ = (L + aJ/n)^-1 - J/(an) on a connected block, with a
+            # the mean degree so the shift matches the block's scale.
+            lap = dense_laplacian(block)
+            scale = np.trace(lap) / 40
+            projector = np.full((40, 40), 1.0 / 40)
+            expected = (np.linalg.inv(lap + scale * projector)
+                        - projector / scale)
+            np.testing.assert_allclose(pseudo[rows, rows], expected,
+                                       rtol=1e-9,
+                                       atol=1e-12 * np.abs(expected).max())
+        assert np.all(pseudo[:40, 40:] == 0.0)

@@ -1,14 +1,11 @@
 """The parallel engine's determinism contract.
 
-* transition sharding reproduces a serial run **bit for bit** — same
-  edge sets, same tie-breaking, identical score arrays — for any worker
-  count, on both the exact and the (content-seeded) approximate
-  backend, and with solver faults injected;
-* component sharding is deterministic and numerically equivalent
-  (``allclose``) with identical support/anomaly sets, but not bitwise
-  (per-component pseudoinverses round differently from one full
-  factorisation) — which is exactly why ``"auto"`` only chooses it when
-  the exact backend can skip cubic work.
+Every parallel run reproduces a serial run **bit for bit** — same edge
+sets, same tie-breaking, identical score arrays — for any worker count
+and any ``shard_by`` value, on both the exact and the approximate
+backend, on disconnected graphs (where the exact backend inverts each
+component on its own, serial and parallel alike), and with solver
+faults injected.
 """
 
 from __future__ import annotations
@@ -26,6 +23,7 @@ from repro import (
 )
 from repro.datasets import toy_example
 from repro.graphs import perturb_weights, random_sparse_graph
+from repro.parallel import SHARD_MODES
 
 WORKER_COUNTS = (1, 2, 4)
 
@@ -134,43 +132,17 @@ def test_faulty_solver_chain_stays_bitwise_serial(workers):
 
 @pytest.mark.parametrize("workers", WORKER_COUNTS)
 def test_component_sharding_matches_serial_numerically(workers):
+    """On a disconnected exact sequence every ``shard_by`` value
+    matches serial bit for bit."""
     graph = disconnected_sequence()
     serial = CadDetector(method="exact", seed=3).detect(
         graph, anomalies_per_transition=3
     )
-    parallel = ParallelCadDetector(
-        workers=workers, shard_by="component", method="exact", seed=3,
-    ).detect(graph, anomalies_per_transition=3)
-    assert np.isclose(parallel.threshold, serial.threshold,
-                      rtol=1e-9, atol=1e-12)
-    for ours, theirs in zip(parallel.transitions, serial.transitions):
-        assert np.array_equal(ours.scores.edge_rows,
-                              theirs.scores.edge_rows)
-        assert np.array_equal(ours.scores.edge_cols,
-                              theirs.scores.edge_cols)
-        assert np.allclose(ours.scores.edge_scores,
-                           theirs.scores.edge_scores,
-                           rtol=1e-9, atol=1e-12)
-        assert np.allclose(ours.scores.node_scores,
-                           theirs.scores.node_scores,
-                           rtol=1e-9, atol=1e-12)
-        assert {e[:2] for e in ours.anomalous_edges} == \
-            {e[:2] for e in theirs.anomalous_edges}
-        assert set(ours.anomalous_nodes) == set(theirs.anomalous_nodes)
-
-
-def test_component_sharding_runs_are_repeatable():
-    graph = disconnected_sequence()
-    first = ParallelCadDetector(
-        workers=2, shard_by="component", method="exact", seed=3,
-    ).detect(graph, anomalies_per_transition=3)
-    second = ParallelCadDetector(
-        workers=4, shard_by="component", method="exact", seed=3,
-    ).detect(graph, anomalies_per_transition=3)
-    assert first.threshold == second.threshold
-    for ours, theirs in zip(first.transitions, second.transitions):
-        assert np.array_equal(ours.scores.edge_scores,
-                              theirs.scores.edge_scores)
+    for shard_by in SHARD_MODES:
+        parallel = ParallelCadDetector(
+            workers=workers, shard_by=shard_by, method="exact", seed=3,
+        ).detect(graph, anomalies_per_transition=3)
+        assert_reports_bitwise_equal(serial, parallel)
 
 
 def test_toy_dataset_byte_identity():

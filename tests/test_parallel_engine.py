@@ -1,4 +1,4 @@
-"""Mechanics of the parallel execution engine: shared memory, shard
+"""Mechanics of the parallel execution engine: shared memory, chunk
 planning, merging, crash handling, checkpoints, and the pipeline/CLI
 entry points. Determinism guarantees live in
 ``tests/test_parallel_determinism.py``."""
@@ -23,9 +23,7 @@ from repro.graphs.io import write_temporal_edge_csv
 from repro.parallel import (
     AttachedGraphSequence,
     SharedGraphSequence,
-    plan_component_shards,
     plan_transition_chunks,
-    resolve_shard_mode,
 )
 from repro.parallel.checkpoint import (
     read_parallel_checkpoint,
@@ -34,6 +32,8 @@ from repro.parallel.checkpoint import (
 )
 from repro.pipeline.api import WORKERS_ENV_VAR
 from repro.resilience.chaos import ChaosSpec
+
+from .test_parallel_determinism import assert_reports_bitwise_equal
 
 
 def make_sequence(num_snapshots=4, n=30, seed=3) -> DynamicGraph:
@@ -123,36 +123,20 @@ def test_transition_chunks_split_at_gaps():
     assert sorted(t for c in chunks for t in c) == [0, 1, 4, 5, 6]
 
 
-def test_component_shards_partition_union_support():
+def test_shard_by_is_validated_and_selects_nothing():
+    """``shard_by`` is kept for compatibility: every recognised value
+    runs the transition axis, so ``"component"`` on the approximate
+    backend scores a disconnected sequence exactly like serial."""
     graph = disconnected_sequence()
-    shards, canonical = plan_component_shards(graph)
-    for transition in range(graph.num_transitions):
-        rows, _cols = canonical[transition]
-        positions = np.concatenate([
-            shard.positions for shard in shards
-            if shard.transition == transition
-        ]) if rows.size else np.zeros(0, dtype=np.int64)
-        assert sorted(positions.tolist()) == list(range(rows.size))
-
-
-def test_resolve_shard_mode_auto():
-    connected = make_sequence()
-    disconnected = disconnected_sequence()
-    assert resolve_shard_mode("auto", "exact", connected) == "transition"
-    assert resolve_shard_mode("auto", "exact", disconnected) == "component"
-    assert resolve_shard_mode("auto", "approx", disconnected) == "transition"
-    assert resolve_shard_mode("transition", "exact", disconnected) == \
-        "transition"
+    serial = CadDetector(method="approx", k=8, seed=1).detect(
+        graph, anomalies_per_transition=3
+    )
+    parallel = ParallelCadDetector(
+        workers=2, shard_by="component", method="approx", k=8, seed=1,
+    ).detect(graph, anomalies_per_transition=3)
+    assert_reports_bitwise_equal(serial, parallel)
     with pytest.raises(ParallelExecutionError):
-        resolve_shard_mode("bogus", "exact", connected)
-
-
-def test_component_mode_rejects_approx_backend():
-    graph = disconnected_sequence()
-    detector = ParallelCadDetector(workers=2, shard_by="component",
-                                   method="approx", k=8, seed=1)
-    with pytest.raises(ParallelExecutionError):
-        detector.score_sequence(graph)
+        ParallelCadDetector(workers=2, shard_by="bogus")
 
 
 # -- failure handling -------------------------------------------------------

@@ -1,6 +1,5 @@
 """Unit tests for the pipeline API and report rendering."""
 
-import numpy as np
 import pytest
 
 from repro.core import CadDetector
